@@ -17,10 +17,11 @@ vet:
 # atomic chunk dispensers), the communication stack's atomic traffic
 # counters, and the telemetry spine's concurrent counter/event plumbing
 # make the race detector part of the default test gate, not an optional
-# extra.
+# extra. The align drivers (omp tasks and mpi ranks over one shared slab)
+# and the wire codec's pooled buffers ride in the same gate.
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/omp/... ./internal/mpi/... ./internal/cluster/... ./internal/psort/... ./internal/telemetry/... ./internal/trace/... ./internal/serve/... ./internal/ring/... ./internal/store/...
+	$(GO) test -race ./internal/omp/... ./internal/mpi/... ./internal/cluster/... ./internal/psort/... ./internal/telemetry/... ./internal/trace/... ./internal/serve/... ./internal/ring/... ./internal/store/... ./internal/align/... ./internal/wirecodec/...
 
 race:
 	$(GO) test -race ./internal/... ./patternlets

@@ -1,7 +1,8 @@
 // The alignment macro-workload benchmark suite (`make bench-json
 // SUITE=align`): the serial oracle against the three parallel drivers at
 // several sizes, plus the virtual-core speedup model. Wall-clock numbers
-// on this single-core host show the drivers' overhead over the oracle;
+// show the drivers' overhead over the oracle, not a speedup: the recorded
+// runs had 2 cores under 4 ranks or threads plus the runtimes' helpers;
 // the model-speedup metric (internal/vtime, the repo's convention for
 // scalability claims) shows the wavefront's parallel shape — near-linear
 // until the anti-diagonal width caps it.
@@ -40,7 +41,7 @@ func BenchmarkAlignWavefront(b *testing.B) {
 		for _, threads := range []int{1, 4} {
 			cfg := alignCfg(n)
 			// The vtime model gives the speedup this thread count would
-			// reach on real cores; reported alongside the single-core
+			// reach on real cores; reported alongside the measured
 			// wall-clock so the BENCH file carries both.
 			sched, err := vtime.Simulate(align.ModelTasks(cfg), threads)
 			if err != nil {

@@ -169,23 +169,24 @@ func (w *wireConn) send(dst int, m Message) error {
 			var hdr [64]byte
 			h := appendFrameHeader(hdr[:0], dst, m)
 			bufs := net.Buffers{h, m.Payload}
-			_, err := bufs.WriteTo(w.c)
-			if err != nil {
+			// Flushes are counted before the write: once the peer can
+			// read the frame, the count must already show it.
+			w.wc.flushImmediate.Inc()
+			if _, err := bufs.WriteTo(w.c); err != nil {
 				w.err = err
 				return err
 			}
-			w.wc.flushImmediate.Inc()
 			return nil
 		}
 		buf := wirecodec.Get(4 + 1 + 42 + len(m.Payload))
 		buf = appendFrame(buf, dst, m)
+		w.wc.flushImmediate.Inc()
 		_, err := w.c.Write(buf)
 		wirecodec.Put(buf)
 		if err != nil {
 			w.err = err
 			return err
 		}
-		w.wc.flushImmediate.Inc()
 		return nil
 	}
 
@@ -237,11 +238,11 @@ func (w *wireConn) flushLocked() error {
 	if w.err != nil || len(w.staged) == 0 {
 		return w.err
 	}
-	_, err := w.c.Write(w.staged)
 	w.wc.flushBatched.Inc()
 	if w.stagedFrames > 1 {
 		w.wc.coalesced.Add(int64(w.stagedFrames - 1))
 	}
+	_, err := w.c.Write(w.staged)
 	wirecodec.Put(w.staged)
 	w.staged = nil
 	w.stagedFrames = 0

@@ -9,10 +9,10 @@ import (
 	"repro/internal/wirecodec"
 )
 
-func f64bits(f float64) uint64  { return math.Float64bits(f) }
-func f64from(u uint64) float64  { return math.Float64frombits(u) }
-func f32bits(f float32) uint32  { return math.Float32bits(f) }
-func f32from(u uint32) float32  { return math.Float32frombits(u) }
+func f64bits(f float64) uint64 { return math.Float64bits(f) }
+func f64from(u uint64) float64 { return math.Float64frombits(u) }
+func f32bits(f float32) uint32 { return math.Float32bits(f) }
+func f32from(u uint32) float32 { return math.Float32frombits(u) }
 
 // Typed wire codec: the fast path that replaced gob on the hot wire.
 //
@@ -25,6 +25,7 @@ func f32from(u uint32) float32  { return math.Float32frombits(u) }
 // length-prefixed, numeric slices as a count plus fixed-width elements
 // (bulk copies beat per-element varints on both ends), and the handful
 // of nested shapes the tree collectives bundle ([][]T, []splitEntry).
+// New tags are only ever appended, so existing tag values never move.
 //
 // A gob round trip costs two allocations, a reflection walk and ~300 ns
 // even for a single int; the fast path writes ~3 bytes into a pooled
@@ -57,6 +58,8 @@ const (
 	tagBytesSS   // [][]byte
 	tagStringSS  // [][]string
 	tagSplitEntrySS
+	tagInt32Slice  // []int32: the align pipeline's ghost rows
+	tagUint64Slice // []uint64: the align pipeline's row-hash gather
 )
 
 // maxVarint is the widest encoding of one varint scalar.
@@ -187,6 +190,22 @@ func encodeFast(p any) ([]byte, bool) {
 		b = wirecodec.AppendUvarint(b, uint64(len(*v)))
 		for _, e := range *v {
 			b = wirecodec.AppendUint32(b, f32bits(e))
+		}
+		return b, true
+	case *[]int32:
+		b := wirecodec.Get(1 + maxVarint + 4*len(*v))
+		b = append(b, tagInt32Slice)
+		b = wirecodec.AppendUvarint(b, uint64(len(*v)))
+		for _, e := range *v {
+			b = wirecodec.AppendUint32(b, uint32(e))
+		}
+		return b, true
+	case *[]uint64:
+		b := wirecodec.Get(1 + maxVarint + 8*len(*v))
+		b = append(b, tagUint64Slice)
+		b = wirecodec.AppendUvarint(b, uint64(len(*v)))
+		for _, e := range *v {
+			b = wirecodec.AppendUint64(b, e)
 		}
 		return b, true
 	case *[]string:
@@ -463,6 +482,38 @@ func decodeFast(p any, b []byte) (bool, error) {
 			*v = out
 		}
 		return true, nil
+	case *[]int32:
+		if tag != tagInt32Slice {
+			return true, wireMismatch(tag, v)
+		}
+		n, body, ok := sliceHeader(body, 4)
+		if !ok {
+			return true, errTruncated
+		}
+		if n > 0 {
+			out := make([]int32, n)
+			for i := range out {
+				out[i] = int32(leU32(body, i))
+			}
+			*v = out
+		}
+		return true, nil
+	case *[]uint64:
+		if tag != tagUint64Slice {
+			return true, wireMismatch(tag, v)
+		}
+		n, body, ok := sliceHeader(body, 8)
+		if !ok {
+			return true, errTruncated
+		}
+		if n > 0 {
+			out := make([]uint64, n)
+			for i := range out {
+				out[i] = leU64(body, i)
+			}
+			*v = out
+		}
+		return true, nil
 	case *[]string:
 		if tag != tagStringSlice {
 			return true, wireMismatch(tag, v)
@@ -497,7 +548,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		if tag != tagIntSS {
 			return true, wireMismatch(tag, v)
 		}
-		n, body, ok := wirecodec.Uvarint(body)
+		n, body, ok := sliceHeader(body, 1)
 		if !ok {
 			return true, errTruncated
 		}
@@ -507,7 +558,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		out := make([][]int, n)
 		for i := range out {
 			var m uint64
-			m, body, ok = sliceHeaderMoving(body, 8)
+			m, body, ok = sliceHeader(body, 8)
 			if !ok {
 				return true, errTruncated
 			}
@@ -526,7 +577,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		if tag != tagFloat64SS {
 			return true, wireMismatch(tag, v)
 		}
-		n, body, ok := wirecodec.Uvarint(body)
+		n, body, ok := sliceHeader(body, 1)
 		if !ok {
 			return true, errTruncated
 		}
@@ -536,7 +587,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		out := make([][]float64, n)
 		for i := range out {
 			var m uint64
-			m, body, ok = sliceHeaderMoving(body, 8)
+			m, body, ok = sliceHeader(body, 8)
 			if !ok {
 				return true, errTruncated
 			}
@@ -555,7 +606,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		if tag != tagBytesSS {
 			return true, wireMismatch(tag, v)
 		}
-		n, body, ok := wirecodec.Uvarint(body)
+		n, body, ok := sliceHeader(body, 1)
 		if !ok {
 			return true, errTruncated
 		}
@@ -581,7 +632,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		if tag != tagStringSS {
 			return true, wireMismatch(tag, v)
 		}
-		n, body, ok := wirecodec.Uvarint(body)
+		n, body, ok := sliceHeader(body, 1)
 		if !ok {
 			return true, errTruncated
 		}
@@ -604,7 +655,7 @@ func decodeFast(p any, b []byte) (bool, error) {
 		if tag != tagSplitEntrySS {
 			return true, wireMismatch(tag, v)
 		}
-		n, body, ok := wirecodec.Uvarint(body)
+		n, body, ok := sliceHeader(body, 1)
 		if !ok {
 			return true, errTruncated
 		}
@@ -670,23 +721,21 @@ func decodeFloat[P any](tag byte, body []byte, tgt *P) (float64, error) {
 }
 
 // sliceHeader consumes a count and verifies the body holds count*width
-// bytes; the returned rest points at the first element.
+// bytes; the returned rest points at the first element. The bound divides
+// rather than multiplies: count*width wraps for a hostile count, and a
+// wrapped product would let make() see the raw count and panic.
+// Variable-width slices ([]string, []splitEntry, [][]T) pass width 1:
+// every element takes at least one byte on the wire.
 func sliceHeader(b []byte, width uint64) (uint64, []byte, bool) {
 	n, rest, ok := wirecodec.Uvarint(b)
-	if !ok || uint64(len(rest)) < n*width {
+	if !ok || n > uint64(len(rest))/width {
 		return 0, nil, false
 	}
 	return n, rest, true
 }
 
-// sliceHeaderMoving is sliceHeader for nested decoding, where the caller
-// advances past the elements itself.
-func sliceHeaderMoving(b []byte, width uint64) (uint64, []byte, bool) {
-	return sliceHeader(b, width)
-}
-
 func decodeStringSlice(b []byte) ([]string, []byte, error) {
-	n, b, ok := wirecodec.Uvarint(b)
+	n, b, ok := sliceHeader(b, 1)
 	if !ok {
 		return nil, nil, errTruncated
 	}
@@ -724,7 +773,7 @@ func decodeSplitEntry(b []byte) (splitEntry, []byte, bool) {
 }
 
 func decodeSplitEntrySlice(b []byte) ([]splitEntry, []byte, error) {
-	n, b, ok := wirecodec.Uvarint(b)
+	n, b, ok := sliceHeader(b, 1)
 	if !ok {
 		return nil, nil, errTruncated
 	}

@@ -89,6 +89,10 @@ func TestWireCodecRoundTripAllShapes(t *testing.T) {
 	checkRoundTrip(t, []int64{math.MinInt64, 0, math.MaxInt64})
 	checkRoundTrip(t, []float64{0, -1.5, math.MaxFloat64})
 	checkRoundTrip(t, []float32{1, 2, 3})
+	checkRoundTrip(t, []int32{math.MinInt32, -1, 0, math.MaxInt32})
+	checkRoundTrip(t, []int32{})
+	checkRoundTrip(t, []uint64{0, 1, math.MaxUint64})
+	checkRoundTrip(t, []uint64{})
 	checkRoundTrip(t, []string{"a", "", "c"})
 	checkRoundTrip(t, splitEntry{Color: 1, Key: -2, Rank: 3})
 	checkRoundTrip(t, []splitEntry{{0, 1, 2}, {-1, -2, -3}})
@@ -174,12 +178,87 @@ func TestWireCodecTruncatedInput(t *testing.T) {
 	}
 }
 
+func TestWireCodecSliceTagsAppendOnly(t *testing.T) {
+	// Tags are wire values: a peer built before a shape was added must
+	// still read every older tag the same way, so new shapes only append.
+	if tagSplitEntrySS != 23 || tagInt32Slice != 24 || tagUint64Slice != 25 {
+		t.Fatalf("tag values moved: splitEntrySS=%d int32Slice=%d uint64Slice=%d",
+			tagSplitEntrySS, tagInt32Slice, tagUint64Slice)
+	}
+	b, err := encodeMode([]int32{1, -1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{tagInt32Slice, 2, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
+	if !bytes.Equal(b, want) {
+		t.Fatalf("[]int32 wire form % x, want % x", b, want)
+	}
+	// []int32 and []int are distinct shapes: neither decodes as the other.
+	if _, err := decode[[]int](b); err == nil {
+		t.Fatal("[]int32 payload decoded as []int")
+	}
+	b, _ = encodeMode([]int{1}, false)
+	if _, err := decode[[]int32](b); err == nil {
+		t.Fatal("[]int payload decoded as []int32")
+	}
+}
+
+// hostileCount builds [tag][uvarint n] with no elements behind it.
+func hostileCount(tag byte, n uint64) []byte {
+	return binary.AppendUvarint([]byte{tag}, n)
+}
+
+// decodeErr decodes b into a T and keeps only the error.
+func decodeErr[T any](b []byte) error {
+	_, err := decode[T](b)
+	return err
+}
+
+func TestWireCodecRejectsHostileCounts(t *testing.T) {
+	// A count the remaining bytes cannot hold must fail as truncated
+	// before it reaches make(). 1<<61 elements of 8 bytes wraps the
+	// count*width product to 0, which once let the count through to a
+	// makeslice panic; the outer counts of variable-width shapes had no
+	// bound at all.
+	for _, n := range []uint64{1 << 61, 1 << 62, math.MaxUint64, 1 << 40, 2} {
+		cases := []struct {
+			name string
+			err  error
+		}{
+			{"[]int", decodeErr[[]int](hostileCount(tagIntSlice, n))},
+			{"[]int64", decodeErr[[]int64](hostileCount(tagInt64Slice, n))},
+			{"[]float64", decodeErr[[]float64](hostileCount(tagFloat64Slice, n))},
+			{"[]float32", decodeErr[[]float32](hostileCount(tagFloat32Slice, n))},
+			{"[]int32", decodeErr[[]int32](hostileCount(tagInt32Slice, n))},
+			{"[]uint64", decodeErr[[]uint64](hostileCount(tagUint64Slice, n))},
+			{"[]string", decodeErr[[]string](hostileCount(tagStringSlice, n))},
+			{"[]splitEntry", decodeErr[[]splitEntry](hostileCount(tagSplitEntrySlice, n))},
+			{"[][]int", decodeErr[[][]int](hostileCount(tagIntSS, n))},
+			{"[][]float64", decodeErr[[][]float64](hostileCount(tagFloat64SS, n))},
+			{"[][]byte", decodeErr[[][]byte](hostileCount(tagBytesSS, n))},
+			{"[][]string", decodeErr[[][]string](hostileCount(tagStringSS, n))},
+			{"[][]splitEntry", decodeErr[[][]splitEntry](hostileCount(tagSplitEntrySS, n))},
+		}
+		for _, c := range cases {
+			if c.err == nil {
+				t.Errorf("%s with count %d and no elements: decode succeeded", c.name, n)
+			}
+		}
+	}
+	// A nested shape whose inner count is hostile fails the same way.
+	inner := binary.AppendUvarint(hostileCount(tagIntSS, 1), 1<<61)
+	if decodeErr[[][]int](inner) == nil {
+		t.Fatal("[][]int with a hostile inner count decoded")
+	}
+}
+
 // FuzzWireCodecRoundTrip drives every fast-path shape from fuzzer inputs
 // and pins fast-codec round trips against the gob oracle.
 func FuzzWireCodecRoundTrip(f *testing.F) {
 	f.Add(int64(0), uint64(0), "", []byte{})
 	f.Add(int64(-1), uint64(math.MaxUint64), "seed", []byte{1, 2, 3})
 	f.Add(int64(math.MaxInt64), uint64(1)<<40, "δύο", bytes.Repeat([]byte{0xFF}, 100))
+	f.Add(int64(1), uint64(2), "x", hostileCount(tagFloat64Slice, 1<<61))
 	f.Fuzz(func(t *testing.T, i int64, u uint64, s string, raw []byte) {
 		fl := math.Float64frombits(u)
 		if math.IsNaN(fl) {
@@ -196,6 +275,7 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 		checkRoundTrip(t, raw)
 		checkRoundTrip(t, []string{s, string(raw)})
 		checkRoundTrip(t, splitEntry{Color: int(i), Key: int(u), Rank: int(i >> 7)})
+		checkRoundTrip(t, []uint64{u, uint64(i), u ^ uint64(i)})
 
 		ints := make([]int, 0, len(raw))
 		f64s := make([]float64, 0, len(raw)/8)
@@ -208,6 +288,11 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 				f64s = append(f64s, v)
 			}
 		}
+		i32s := make([]int32, 0, len(raw)/4)
+		for k := 0; k+4 <= len(raw); k += 4 {
+			i32s = append(i32s, int32(binary.LittleEndian.Uint32(raw[k:])))
+		}
+		checkRoundTrip(t, i32s)
 		if len(ints) > 0 {
 			checkRoundTrip(t, ints)
 			checkRoundTrip(t, [][]int{ints, nil, ints[:len(ints)/2]})
@@ -223,6 +308,12 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 		_, _ = decode[[][]string](raw)
 		_, _ = decode[splitEntry](raw)
 		_, _ = decode[string](raw)
+		_, _ = decode[[]int](raw)
+		_, _ = decode[[]int32](raw)
+		_, _ = decode[[]uint64](raw)
+		_, _ = decode[[][]int](raw)
+		_, _ = decode[[]string](raw)
+		_, _ = decode[[]splitEntry](raw)
 	})
 }
 
