@@ -17,14 +17,16 @@ vet:
 # atomic chunk dispensers), the communication stack's atomic traffic
 # counters, and the telemetry spine's concurrent counter/event plumbing
 # make the race detector part of the default test gate, not an optional
-# extra. The align drivers (omp tasks and mpi ranks over one shared slab)
-# and the wire codec's pooled buffers ride in the same gate.
+# extra. The gate covers every internal package and the patternlets, the
+# same list `make race` runs.
+RACE_PKGS = ./internal/... ./patternlets
+
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/omp/... ./internal/mpi/... ./internal/cluster/... ./internal/psort/... ./internal/telemetry/... ./internal/trace/... ./internal/serve/... ./internal/ring/... ./internal/store/... ./internal/align/... ./internal/wirecodec/...
+	$(GO) test -race $(RACE_PKGS)
 
 race:
-	$(GO) test -race ./internal/... ./patternlets
+	$(GO) test -race $(RACE_PKGS)
 
 # Run the patternlet HTTP service with classroom defaults.
 serve:

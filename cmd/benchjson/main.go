@@ -56,9 +56,10 @@ const tasksBench = "^(BenchmarkTaskSpawnWait|BenchmarkTaskRecursiveFanout|" +
 
 // storeBench is the run-store suite: the cache hit path against the
 // execute path for a cheap OpenMP and an expensive MPI patternlet, plus
-// the store's own microbenchmarks (digest, log round trip, bloom-guarded
-// miss), recorded as BENCH_<date>_store.json to document the speedup
-// serving repeat /run requests from the store.
+// the store's own microbenchmarks (digest, log round trip, miss, puts
+// into full stores of 10³–10⁵ records), recorded as
+// BENCH_<date>_store.json to document the speedup serving repeat /run
+// requests from the store.
 const storeBench = "^(BenchmarkRunStoreHitVsExecute|BenchmarkStoreOps)$"
 
 // loadBench is the serving-pipeline suite: the back-to-back

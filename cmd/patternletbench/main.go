@@ -481,7 +481,11 @@ func bootDaemon(workers, queue int) (*daemon, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: serve.ReadHeaderTimeout,
+		IdleTimeout:       serve.IdleTimeout,
+	}
 	go httpSrv.Serve(ln)
 	return &daemon{
 		url: "http://" + ln.Addr().String(),

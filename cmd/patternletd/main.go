@@ -134,7 +134,11 @@ func main() {
 			*storeDir, runStore.Len(), *storeMax)
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: serve.ReadHeaderTimeout,
+		IdleTimeout:       serve.IdleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Cache counters, alongside the serve.* admission set. The store's own
-// store.* counters (log hits, bloom skips, evictions, …) are merged into
+// store.* counters (log hits, misses, evictions, …) are merged into
 // /metrics next to these when a store is configured.
 const (
 	ctrCacheHit    = "serve.cache.hit"    // runs answered from the store, no execution

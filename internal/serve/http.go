@@ -113,6 +113,37 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a /run or /worker request body. Real bodies are a
+// few hundred bytes; the bound stops one client from making the daemon
+// buffer an arbitrarily large document.
+const maxBodyBytes = 1 << 20
+
+// Connection timeouts for the http.Server in front of Handler:
+// ReadHeaderTimeout stops a client that sends its headers slowly from
+// holding a connection, and IdleTimeout closes keep-alive connections
+// no request has used for that long.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// It answers 413 past the limit and 400 for a body that does not decode,
+// and reports whether v holds the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s over %d bytes", what, maxBodyBytes)
+	default:
+		httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return false
+}
+
 // httpError is the uniform JSON error body.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -130,8 +161,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer func() { m.e2e.RecordSince(start) }()
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, "request body", &req) {
 		return
 	}
 	if req.Key == "" {
@@ -255,8 +285,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // it belongs to already holds an admitted job at its owner.
 func (s *Server) handleWorker(w http.ResponseWriter, r *http.Request) {
 	var wreq WorkerRequest
-	if err := json.NewDecoder(r.Body).Decode(&wreq); err != nil {
-		httpError(w, http.StatusBadRequest, "bad worker body: %v", err)
+	if !decodeBody(w, r, "worker body", &wreq) {
 		return
 	}
 	if wreq.Key == "" || wreq.NP < 1 || wreq.Rank < 0 || wreq.Rank >= wreq.NP || wreq.Rendezvous == "" {

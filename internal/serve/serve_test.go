@@ -562,3 +562,20 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 2s")
 }
+
+// A /run or /worker body over maxBodyBytes is refused with 413 before
+// it is decoded; the daemon never buffers more than the limit.
+func TestOversizeBodyRejected(t *testing.T) {
+	node := startCluster(t, 1)[0]
+	big := `{"key":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{"/run", "/worker"} {
+		resp, err := http.Post(node.url()+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
+	}
+}

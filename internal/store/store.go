@@ -1,8 +1,8 @@
 // Package store is the persistent, content-addressed run store behind
 // patternletd's cache: an append-only log of checksummed records on
-// disk, a sorted in-memory index over it, and a bloom filter in front —
-// the read-optimized shape of the index structures the db-index
-// evaluation benchmarks (see ROADMAP item 4 and DESIGN.md §11).
+// disk and, in memory, one map per key space (result digest, run id,
+// trace id) plus one least-recently-used list threaded through the
+// entries (DESIGN.md §11.3).
 //
 // Two record kinds share the log: run results, content-addressed by a
 // canonical digest of (catalog fingerprint, patternlet key, resolved
@@ -22,9 +22,9 @@
 //
 // Capacity is bounded by WithMaxBytes: admission of a new record first
 // evicts least-recently-used live records until it fits, and the log is
-// compacted (live records rewritten, dead bytes dropped, bloom filter
-// rebuilt) once dead bytes exceed the budget, so disk usage stays under
-// 2× the configured cap at all times.
+// compacted (live records rewritten, dead bytes dropped) once dead bytes
+// exceed the budget, so disk usage stays under 2× the configured cap at
+// all times.
 package store
 
 import (
@@ -51,17 +51,15 @@ import (
 // Counter names the store maintains; patternletd merges them into
 // /metrics.json next to the serve.* set.
 const (
-	ctrHit        = "store.hit"              // GetResult served from the log
-	ctrMiss       = "store.miss"             // GetResult found nothing
-	ctrPut        = "store.put"              // result records appended
-	ctrPutTrace   = "store.put.trace"        // trace records appended
-	ctrEvicted    = "store.evicted"          // records evicted for capacity
-	ctrBloomSkip  = "store.bloom.skip"       // misses answered by the bloom filter alone
-	ctrBloomFalse = "store.bloom.falsepos"   // bloom said maybe, index said no
-	ctrCompact    = "store.compactions"      // log compactions run
-	ctrTruncated  = "store.reopen.truncated" // torn tails truncated at Open
-	ctrBadRecord  = "store.reopen.badrecord" // checksum-bad records skipped at Open
-	ctrOversize   = "store.oversize"         // records larger than the whole budget, not stored
+	ctrHit       = "store.hit"              // GetResult served from the log
+	ctrMiss      = "store.miss"             // GetResult found nothing
+	ctrPut       = "store.put"              // result records appended
+	ctrPutTrace  = "store.put.trace"        // trace records appended
+	ctrEvicted   = "store.evicted"          // records evicted for capacity
+	ctrCompact   = "store.compactions"      // log compactions run
+	ctrTruncated = "store.reopen.truncated" // torn tails truncated at Open
+	ctrBadRecord = "store.reopen.badrecord" // checksum-bad records skipped at Open
+	ctrOversize  = "store.oversize"         // records larger than the whole budget, not stored
 )
 
 // logName is the single log file inside the store directory.
@@ -152,16 +150,16 @@ type diskRecord struct {
 }
 
 // entry is one live record in the in-memory index: where its bytes live
-// in the log and when it was last touched (the LRU clock).
+// in the log and its place in the store's recency list.
 type entry struct {
-	kind   string
-	id     string
-	key    string
-	digest Digest
-	off    int64 // offset of the framing header
-	size   int64 // header + payload bytes
-	stored int64 // unix ms at append
-	last   int64 // LRU tick of the most recent access
+	kind       string
+	id         string
+	key        string
+	digest     Digest
+	off        int64 // offset of the framing header
+	size       int64 // header + payload bytes
+	stored     int64 // unix ms at append
+	prev, next *entry
 }
 
 // RunRecord is one stored run, as surfaced by the /runs endpoints.
@@ -187,20 +185,20 @@ type Store struct {
 	size    int64 // current append offset (file size)
 	live    int64 // bytes belonging to live records
 	results map[Digest]*entry
-	sorted  []*entry // results ordered by digest — the index /runs walks
 	byID    map[string]*entry
-	byKey   map[string][]*entry
 	traces  map[string]*entry
-	bloom   *bloom
-	clock   int64
+	// lru is the sentinel of a circular list of every live entry, results
+	// and traces together: lru.next is the least recently used (the next
+	// eviction victim), lru.prev the most recent.
+	lru     entry
 	nextSeq int64
 	closed  bool
 }
 
 // Open loads (or creates) the store in dir, replaying the log: torn
 // tails are truncated, checksum-bad records skipped and counted, and
-// the in-memory index, bloom filter, and run-id sequence rebuilt from
-// the surviving records.
+// the in-memory index and run-id sequence rebuilt from the surviving
+// records. Log order becomes the initial recency order.
 func Open(dir string, opts ...Option) (*Store, error) {
 	cfg := config{maxBytes: DefaultMaxBytes}
 	for _, o := range opts {
@@ -219,14 +217,13 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		f:        f,
 		results:  map[Digest]*entry{},
 		byID:     map[string]*entry{},
-		byKey:    map[string][]*entry{},
 		traces:   map[string]*entry{},
 	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	if err := s.replay(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	s.rebuildBloom()
 	// A budget smaller than the surviving records (maxBytes lowered
 	// between runs) is enforced immediately.
 	s.evictUntil(s.maxBytes)
@@ -303,17 +300,19 @@ func (s *Store) index(rec *diskRecord, off, size int64) {
 		if prev, ok := s.results[e.digest]; ok {
 			s.drop(prev)
 		}
-		if prev, ok := s.byID[e.id]; ok && prev.kind == kindResult {
+		if prev, ok := s.byID[e.id]; ok {
 			s.drop(prev)
 		}
 		s.results[e.digest] = e
 		s.byID[e.id] = e
-		s.byKey[e.key] = append(s.byKey[e.key], e)
-		s.insertSorted(e)
 		if n := runSeq(e.id); n >= s.nextSeq {
 			s.nextSeq = n + 1
 		}
 	case kindTrace:
+		if rec.Trace == nil {
+			s.counters.Counter(ctrBadRecord).Inc()
+			return
+		}
 		if prev, ok := s.traces[e.id]; ok {
 			s.drop(prev)
 		}
@@ -323,8 +322,7 @@ func (s *Store) index(rec *diskRecord, off, size int64) {
 		return
 	}
 	s.live += size
-	s.clock++
-	e.last = s.clock
+	s.touch(e)
 }
 
 // runSeq parses the numeric suffix of a run id ("r17" → 17); -1 when
@@ -340,31 +338,26 @@ func runSeq(id string) int64 {
 	return n
 }
 
-// insertSorted places e into the digest-sorted result index.
-func (s *Store) insertSorted(e *entry) {
-	i := sort.Search(len(s.sorted), func(i int) bool {
-		return string(s.sorted[i].digest[:]) >= string(e.digest[:])
-	})
-	s.sorted = append(s.sorted, nil)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = e
-}
-
-// lookup binary-searches the sorted index for a digest.
-func (s *Store) lookup(d Digest) (*entry, bool) {
-	i := sort.Search(len(s.sorted), func(i int) bool {
-		return string(s.sorted[i].digest[:]) >= string(d[:])
-	})
-	if i < len(s.sorted) && s.sorted[i].digest == d {
-		return s.sorted[i], true
+// touch moves e (new or already listed) to the most-recently-used end
+// of the recency list.
+func (s *Store) touch(e *entry) {
+	if e.next != nil {
+		s.unlink(e)
 	}
-	return nil, false
+	e.prev, e.next = s.lru.prev, &s.lru
+	e.prev.next = e
+	s.lru.prev = e
 }
 
-// drop removes an entry from every index structure (not from disk; the
-// bytes become dead and are reclaimed by compaction). The bloom filter
-// cannot forget — its stale positives are what the falsepos counter
-// measures until the next rebuild.
+// unlink takes e out of the recency list.
+func (s *Store) unlink(e *entry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+}
+
+// drop removes an entry from its map and the recency list (not from
+// disk; the bytes become dead and are reclaimed by compaction).
 func (s *Store) drop(e *entry) {
 	switch e.kind {
 	case kindResult:
@@ -374,68 +367,26 @@ func (s *Store) drop(e *entry) {
 		if cur, ok := s.byID[e.id]; ok && cur == e {
 			delete(s.byID, e.id)
 		}
-		if list, ok := s.byKey[e.key]; ok {
-			kept := list[:0]
-			for _, x := range list {
-				if x != e {
-					kept = append(kept, x)
-				}
-			}
-			if len(kept) == 0 {
-				delete(s.byKey, e.key)
-			} else {
-				s.byKey[e.key] = kept
-			}
-		}
-		if i, ok := s.lookupIndex(e); ok {
-			s.sorted = append(s.sorted[:i], s.sorted[i+1:]...)
-		}
 	case kindTrace:
 		if cur, ok := s.traces[e.id]; ok && cur == e {
 			delete(s.traces, e.id)
 		}
 	}
+	s.unlink(e)
 	s.live -= e.size
 }
 
-// lookupIndex finds e's exact position in the sorted index.
-func (s *Store) lookupIndex(e *entry) (int, bool) {
-	i := sort.Search(len(s.sorted), func(i int) bool {
-		return string(s.sorted[i].digest[:]) >= string(e.digest[:])
-	})
-	if i < len(s.sorted) && s.sorted[i] == e {
-		return i, true
-	}
-	return 0, false
-}
-
-// rebuildBloom resizes the filter to the current population and re-adds
-// every live digest, clearing the stale positives of evicted entries.
-func (s *Store) rebuildBloom() {
-	s.bloom = newBloom(len(s.results) + 1024)
-	for d := range s.results {
-		s.bloom.add(d)
-	}
-}
-
-// GetResult serves a content-addressed lookup: the bloom filter answers
-// definite misses without touching the index, hits read the record back
-// from the log and refresh its LRU position. The returned run id names
-// the stored record for /runs/{id}.
+// GetResult serves a content-addressed lookup: hits read the record
+// back from the log and refresh its LRU position. The returned run id
+// names the stored record for /runs/{id}.
 func (s *Store) GetResult(d Digest) (core.Result, string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return core.Result{}, "", false
 	}
-	if !s.bloom.test(d) {
-		s.counters.Counter(ctrBloomSkip).Inc()
-		s.counters.Counter(ctrMiss).Inc()
-		return core.Result{}, "", false
-	}
-	e, ok := s.lookup(d)
+	e, ok := s.results[d]
 	if !ok {
-		s.counters.Counter(ctrBloomFalse).Inc()
 		s.counters.Counter(ctrMiss).Inc()
 		return core.Result{}, "", false
 	}
@@ -447,8 +398,7 @@ func (s *Store) GetResult(d Digest) (core.Result, string, bool) {
 		s.counters.Counter(ctrMiss).Inc()
 		return core.Result{}, "", false
 	}
-	s.clock++
-	e.last = s.clock
+	s.touch(e)
 	s.counters.Counter(ctrHit).Inc()
 	return *rec.Result, e.id, true
 }
@@ -463,8 +413,7 @@ func (s *Store) PutResult(d Digest, key string, res core.Result) (string, error)
 		return "", errors.New("store: closed")
 	}
 	if e, ok := s.results[d]; ok {
-		s.clock++
-		e.last = s.clock
+		s.touch(e)
 		return e.id, nil
 	}
 	id := "r" + strconv.FormatInt(s.nextSeq, 10)
@@ -518,8 +467,7 @@ func (s *Store) GetTrace(id string) ([]byte, bool) {
 		s.drop(e)
 		return nil, false
 	}
-	s.clock++
-	e.last = s.clock
+	s.touch(e)
 	return rec.Trace, true
 }
 
@@ -556,8 +504,7 @@ func (s *Store) RunByID(id string) (RunRecord, bool) {
 		s.drop(e)
 		return RunRecord{}, false
 	}
-	s.clock++
-	e.last = s.clock
+	s.touch(e)
 	return RunRecord{ID: e.id, Key: e.key, Digest: rec.Digest, StoredMS: rec.Stored, Result: *rec.Result}, true
 }
 
@@ -568,13 +515,10 @@ func (s *Store) Runs(key string) []RunRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var list []*entry
-	if key == "" {
-		list = make([]*entry, 0, len(s.byID))
-		for _, e := range s.byID {
+	for _, e := range s.byID {
+		if key == "" || e.key == key {
 			list = append(list, e)
 		}
-	} else {
-		list = append(list, s.byKey[key]...)
 	}
 	sort.Slice(list, func(i, j int) bool { return runSeq(list[i].id) < runSeq(list[j].id) })
 	out := make([]RunRecord, 0, len(list))
@@ -607,70 +551,34 @@ func (s *Store) append(rec *diskRecord) error {
 	off := s.size
 	s.size += size
 	s.index(rec, off, size)
-	if rec.Kind == kindResult {
-		s.bloom.add(s.results[digestOf(rec)].digest)
-	}
 	if s.size-s.live > s.maxBytes {
 		return s.compact()
 	}
 	return nil
 }
 
-// digestOf decodes a result record's digest (validated at index time).
-func digestOf(rec *diskRecord) Digest {
-	var d Digest
-	b, _ := hex.DecodeString(rec.Digest)
-	copy(d[:], b)
-	return d
-}
-
 // evictUntil drops least-recently-used live records until live bytes
 // fit the target.
 func (s *Store) evictUntil(target int64) {
-	if target < 0 {
-		target = 0
-	}
-	for s.live > target {
-		var victim *entry
-		for _, e := range s.results {
-			if victim == nil || e.last < victim.last {
-				victim = e
-			}
-		}
-		for _, e := range s.traces {
-			if victim == nil || e.last < victim.last {
-				victim = e
-			}
-		}
-		if victim == nil {
-			return
-		}
-		s.drop(victim)
+	for s.live > target && s.lru.next != &s.lru {
+		s.drop(s.lru.next)
 		s.counters.Counter(ctrEvicted).Inc()
 	}
 }
 
-// compact rewrites the live records into a fresh log and atomically
-// swaps it in, dropping dead bytes and rebuilding the bloom filter. A
-// crash mid-compaction leaves the original log untouched (the rename is
-// the commit point).
+// compact rewrites the live records into a fresh log, in recency order
+// so a reopen restores the LRU order, and atomically swaps it in,
+// dropping dead bytes. A crash mid-compaction leaves the original log
+// untouched (the rename is the commit point), and entry offsets move to
+// the new log only once it is in place.
 func (s *Store) compact() error {
-	live := make([]*entry, 0, len(s.byID)+len(s.traces))
-	for _, e := range s.byID {
-		live = append(live, e)
-	}
-	for _, e := range s.traces {
-		live = append(live, e)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].off < live[j].off })
-
 	tmpPath := filepath.Join(s.dir, logName+".compact")
 	tmp, err := os.Create(tmpPath)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	var off int64
-	for _, e := range live {
+	for e := s.lru.next; e != &s.lru; e = e.next {
 		buf := make([]byte, e.size)
 		if _, err := s.f.ReadAt(buf, e.off); err != nil {
 			tmp.Close()
@@ -682,7 +590,6 @@ func (s *Store) compact() error {
 			os.Remove(tmpPath)
 			return fmt.Errorf("store: compact write: %w", err)
 		}
-		e.off = off
 		off += e.size
 	}
 	if err := tmp.Sync(); err != nil {
@@ -710,7 +617,11 @@ func (s *Store) compact() error {
 	s.f = f
 	s.size = off
 	s.live = off
-	s.rebuildBloom()
+	off = 0
+	for e := s.lru.next; e != &s.lru; e = e.next {
+		e.off = off
+		off += e.size
+	}
 	s.counters.Counter(ctrCompact).Inc()
 	return nil
 }

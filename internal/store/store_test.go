@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -155,6 +156,97 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 	if _, _, ok := s2.GetResult(dg("post-crash")); !ok {
 		t.Fatal("append after truncation missed")
 	}
+
+	// A crash can stop the last append at any byte, in a plain log or in
+	// one compaction rewrote. Every cut must reopen to exactly the
+	// earlier records, count one truncation, and take new puts.
+	t.Run("plain", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		earlier := []string{"cut-0", "cut-1", "cut-2"}
+		for _, l := range earlier {
+			if _, err := s.PutResult(dg(l), l, res(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := s.DiskSize()
+		if _, err := s.PutResult(dg("cut-last"), "cut-last", res("cut-last")); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		checkEveryCut(t, dir, start, earlier, "cut-last")
+	})
+	t.Run("compacted", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir, WithMaxBytes(3*recordSize(t, "cmp-00")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Put until a put compacts. Compaction writes in recency order,
+		// so that put's record ends the rewritten log.
+		var last string
+		for i := 0; s.Counters()[ctrCompact] == 0; i++ {
+			last = fmt.Sprintf("cmp-%02d", i)
+			if _, err := s.PutResult(dg(last), last, res(last)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var earlier []string
+		for _, r := range s.Runs("") {
+			if r.Key != last {
+				earlier = append(earlier, r.Key)
+			}
+		}
+		start := s.DiskSize() - s.results[dg(last)].size
+		s.Close()
+		checkEveryCut(t, dir, start, earlier, last)
+	})
+}
+
+// checkEveryCut truncates dir's log at every offset in (start, end of
+// file) — inside the record of label, the last in the log — and checks
+// each reopen: earlier records hit, label misses, the cut is counted,
+// and a new put reads back.
+func checkEveryCut(t *testing.T, dir string, start int64, earlier []string, label string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := start + 1; cut < int64(len(data)); cut++ {
+		cdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cdir, logName), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(cdir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		for _, l := range earlier {
+			if _, _, ok := s.GetResult(dg(l)); !ok {
+				t.Fatalf("cut at %d: earlier record %s lost", cut, l)
+			}
+		}
+		if _, _, ok := s.GetResult(dg(label)); ok {
+			t.Fatalf("cut at %d: torn record %s served", cut, label)
+		}
+		if s.Len() != len(earlier) {
+			t.Fatalf("cut at %d: Len = %d, want %d", cut, s.Len(), len(earlier))
+		}
+		if c := s.Counters()[ctrTruncated]; c != 1 {
+			t.Fatalf("cut at %d: %s = %d, want 1", cut, ctrTruncated, c)
+		}
+		if _, err := s.PutResult(dg("after-cut"), "after-cut", res("after-cut")); err != nil {
+			t.Fatalf("cut at %d: put after reopen: %v", cut, err)
+		}
+		if got, _, ok := s.GetResult(dg("after-cut")); !ok || got.Output != res("after-cut").Output {
+			t.Fatalf("cut at %d: put after reopen did not read back", cut)
+		}
+		s.Close()
+	}
 }
 
 func TestReopenSkipsChecksumBadRecord(t *testing.T) {
@@ -220,44 +312,190 @@ func recordSize(t *testing.T, label string) int64 {
 	return s.DiskSize()
 }
 
-func TestEvictionAtCapacityBoundary(t *testing.T) {
-	// Labels of equal length so every record has the same footprint.
-	labels := []string{"ev-aa", "ev-bb", "ev-cc", "ev-dd"}
-	rec := recordSize(t, labels[0])
-
-	// Budget for exactly three records.
-	s, err := Open(t.TempDir(), WithMaxBytes(3*rec))
+// traceSize measures the on-disk footprint of one trace record.
+func traceSize(t *testing.T, id string, data []byte) int64 {
+	t.Helper()
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, l := range labels[:3] {
-		if _, err := s.PutResult(dg(l), l, res(l)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Counters()[ctrEvicted]; got != 0 {
-		t.Fatalf("evicted %d records while under budget", got)
-	}
-	// Touch ev-aa so ev-bb becomes the LRU victim.
-	if _, _, ok := s.GetResult(dg(labels[0])); !ok {
-		t.Fatal("warm read missed")
-	}
-	// The fourth record must evict exactly one.
-	if _, err := s.PutResult(dg(labels[3]), labels[3], res(labels[3])); err != nil {
+	if err := s.PutTrace(id, data); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Counters()[ctrEvicted]; got != 1 {
-		t.Fatalf("evicted %d records admitting one over budget, want 1", got)
+	return s.DiskSize()
+}
+
+func TestEvictionAtCapacityBoundary(t *testing.T) {
+	// Labels of equal length so every record has the same footprint.
+	labels := []string{"ev-aa", "ev-bb", "ev-cc", "ev-dd"}
+	rec := recordSize(t, labels[0])
+	trace := []byte(`{"traceEvents":[]}`)
+	trc := traceSize(t, "t1", trace)
+
+	// Each case stores a first record, then ev-bb and ev-cc, and refreshes
+	// the first one so ev-bb becomes the LRU victim. The trace case puts
+	// a trace record first: results and traces share one recency order.
+	cases := []struct {
+		name    string
+		trace   bool
+		refresh func(s *Store, id string) bool
+	}{
+		{"GetResult", false, func(s *Store, _ string) bool {
+			_, _, ok := s.GetResult(dg(labels[0]))
+			return ok
+		}},
+		{"RunByID", false, func(s *Store, id string) bool {
+			_, ok := s.RunByID(id)
+			return ok
+		}},
+		{"re-PutResult", false, func(s *Store, id string) bool {
+			got, err := s.PutResult(dg(labels[0]), labels[0], res(labels[0]))
+			return err == nil && got == id
+		}},
+		{"GetTrace", true, func(s *Store, _ string) bool {
+			_, ok := s.GetTrace("t1")
+			return ok
+		}},
 	}
-	if _, _, ok := s.GetResult(dg(labels[1])); ok {
-		t.Fatal("LRU victim ev-bb still present")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			first, present := rec, func(s *Store) bool {
+				_, _, ok := s.GetResult(dg(labels[0]))
+				return ok
+			}
+			if c.trace {
+				first, present = trc, func(s *Store) bool {
+					_, ok := s.GetTrace("t1")
+					return ok
+				}
+			}
+			// Budget for exactly three records.
+			s, err := Open(t.TempDir(), WithMaxBytes(first+2*rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var id string
+			if c.trace {
+				err = s.PutTrace("t1", trace)
+			} else {
+				id, err = s.PutResult(dg(labels[0]), labels[0], res(labels[0]))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range labels[1:3] {
+				if _, err := s.PutResult(dg(l), l, res(l)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.Counters()[ctrEvicted]; got != 0 {
+				t.Fatalf("evicted %d records while under budget", got)
+			}
+			if !c.refresh(s, id) {
+				t.Fatal("refresh of the first record missed")
+			}
+			// The fourth record must evict exactly one.
+			if _, err := s.PutResult(dg(labels[3]), labels[3], res(labels[3])); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Counters()[ctrEvicted]; got != 1 {
+				t.Fatalf("evicted %d records admitting one over budget, want 1", got)
+			}
+			if _, _, ok := s.GetResult(dg(labels[1])); ok {
+				t.Fatal("LRU victim ev-bb still present")
+			}
+			if !present(s) {
+				t.Fatal("refreshed first record evicted")
+			}
+			for _, l := range labels[2:] {
+				if _, _, ok := s.GetResult(dg(l)); !ok {
+					t.Fatalf("%s evicted though it was not the LRU victim", l)
+				}
+			}
+		})
 	}
-	for _, l := range []string{labels[0], labels[2], labels[3]} {
-		if _, _, ok := s.GetResult(dg(l)); !ok {
-			t.Fatalf("%s evicted though it was not the LRU victim", l)
+
+	// Reopening takes log order as the recency order: with no touches
+	// since, the first record in the log is the next victim.
+	t.Run("reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for _, l := range labels[:3] {
+			if _, err := s.PutResult(dg(l), l, res(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+		s, err = Open(dir, WithMaxBytes(3*rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.PutResult(dg(labels[3]), labels[3], res(labels[3])); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := s.GetResult(dg(labels[0])); ok {
+			t.Fatal("first record in the log survived as if recently used")
+		}
+		for _, l := range labels[1:] {
+			if _, _, ok := s.GetResult(dg(l)); !ok {
+				t.Fatalf("%s evicted though it was not the LRU victim", l)
+			}
+		}
+	})
+
+	// Compaction writes live records in recency order, so a reopen after
+	// it keeps the order the store had, not the order of first append.
+	t.Run("reopen-after-compaction", func(t *testing.T) {
+		// Three records and some slack: ids from r10 on make records a
+		// byte longer.
+		rec := recordSize(t, "cmp-00")
+		budget := 3*rec + rec/2
+		dir := t.TempDir()
+		s, err := Open(dir, WithMaxBytes(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			l := fmt.Sprintf("cmp-%02d", i)
+			if _, err := s.PutResult(dg(l), l, res(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Live: cmp-03..05. Touch cmp-03, then the next put evicts cmp-04
+		// and compacts, leaving recency cmp-05, cmp-03, cmp-06.
+		if _, _, ok := s.GetResult(dg("cmp-03")); !ok {
+			t.Fatal("warm read missed")
+		}
+		if _, err := s.PutResult(dg("cmp-06"), "cmp-06", res("cmp-06")); err != nil {
+			t.Fatal(err)
+		}
+		if c := s.Counters()[ctrCompact]; c != 1 {
+			t.Fatalf("%s = %d, want 1", ctrCompact, c)
+		}
+		s.Close()
+		s, err = Open(dir, WithMaxBytes(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.PutResult(dg("cmp-07"), "cmp-07", res("cmp-07")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := s.GetResult(dg("cmp-05")); ok {
+			t.Fatal("least recently used cmp-05 survived the reopen")
+		}
+		for _, l := range []string{"cmp-03", "cmp-06", "cmp-07"} {
+			if _, _, ok := s.GetResult(dg(l)); !ok {
+				t.Fatalf("%s evicted though it was not the LRU victim", l)
+			}
+		}
+	})
 }
 
 func TestEvictionCapacityOne(t *testing.T) {
@@ -305,44 +543,37 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 }
 
-func TestBloomFalsePositivePath(t *testing.T) {
-	rec := recordSize(t, "bfpA1")
+func TestResultMiss(t *testing.T) {
+	rec := recordSize(t, "missA1")
 	s, err := Open(t.TempDir(), WithMaxBytes(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Store A, then evict it by storing B at capacity one. The bloom
-	// filter cannot clear A's bits, so the next Get(A) probes the index
-	// and must be counted a false positive — unless the eviction's
-	// compaction already rebuilt the filter, which clears A legally.
-	if _, err := s.PutResult(dg("bfpA1"), "a", res("bfpA1")); err != nil {
+	// Store A, then evict it by storing B at capacity one.
+	if _, err := s.PutResult(dg("missA1"), "a", res("missA1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PutResult(dg("bfpB1"), "b", res("bfpB1")); err != nil {
+	if _, err := s.PutResult(dg("missB1"), "b", res("missB1")); err != nil {
 		t.Fatal(err)
 	}
-	preSkip := s.Counters()[ctrBloomSkip]
-	if _, _, ok := s.GetResult(dg("bfpA1")); ok {
-		t.Fatal("evicted record served as a hit")
+	if c := s.Counters()[ctrEvicted]; c != 1 {
+		t.Fatalf("%s = %d, want 1", ctrEvicted, c)
 	}
-	c := s.Counters()
-	if c[ctrMiss] == 0 {
-		t.Fatal("miss not counted")
+	for _, l := range []string{"missA1", "never-seen-by-this-store"} {
+		before := s.Counters()[ctrMiss]
+		if _, _, ok := s.GetResult(dg(l)); ok {
+			t.Fatalf("%s served as a hit", l)
+		}
+		if got := s.Counters()[ctrMiss]; got != before+1 {
+			t.Fatalf("miss on %s: %s went %d → %d, want +1", l, ctrMiss, before, got)
+		}
 	}
-	if c[ctrBloomFalse] == 0 && c[ctrBloomSkip] == preSkip {
-		t.Fatal("evicted-digest miss counted neither as bloom false positive nor as bloom skip")
-	}
-
-	// A digest never stored must be a definite bloom skip (with 4096
-	// bits and ≤2 entries, a real false positive is ~impossible).
-	before := s.Counters()[ctrBloomSkip]
-	if _, _, ok := s.GetResult(dg("never-seen-by-this-store")); ok {
-		t.Fatal("phantom hit")
-	}
-	if s.Counters()[ctrBloomSkip] != before+1 {
-		t.Fatal("cold miss did not take the bloom skip path")
+	for name := range s.Counters() {
+		if strings.HasPrefix(name, "store.bloom.") {
+			t.Fatalf("counter %s still reported", name)
+		}
 	}
 }
 
@@ -556,4 +787,109 @@ func TestDigestCanonicalization(t *testing.T) {
 	if crc32.Checksum([]byte("x"), crcTable) == crc32.ChecksumIEEE([]byte("x")) {
 		t.Fatal("store is framing with the IEEE polynomial")
 	}
+}
+
+// frame wraps a payload in the log's length + CRC-32C header.
+func frame(payload string) []byte {
+	buf := make([]byte, 8+len(payload))
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum([]byte(payload), crcTable))
+	copy(buf[8:], payload)
+	return buf
+}
+
+// FuzzStoreReplay feeds arbitrary bytes to Open as the log. Replay must
+// never panic, every record it indexes must read back, and a second
+// Open of the file the first one left must index the same records.
+func FuzzStoreReplay(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, l := range []string{"fz-a", "fz-b"} {
+		if _, err := s.PutResult(dg(l), l, res(l)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.PutTrace("t1", []byte("v1")); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutTrace("t1", []byte("v2")); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	log, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	flipped := append([]byte(nil), log...)
+	flipped[20] ^= 0xFF
+	f.Add(flipped)
+	digest := dg("fz-c").String()
+	var crafted []byte
+	for _, p := range []string{
+		`{"kind":"result","id":"r1","digest":"` + digest + `","key":"k","result":{"Output":"x"}}`,
+		`{"kind":"result","id":"r1","digest":"` + dg("fz-d").String() + `","key":"k","result":{"Output":"y"}}`,
+		`{"kind":"result","id":"r2","digest":"` + digest + `","result":null}`,
+		`{"kind":"result","id":"r3","digest":"zz"}`,
+		`{"kind":"trace","id":"t2"}`,
+		`{"kind":"other","id":"r4"}`,
+		`not json`,
+	} {
+		crafted = append(crafted, frame(p)...)
+	}
+	f.Add(crafted)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		runs := s.Runs("")
+		if len(runs) != s.Len() {
+			t.Fatalf("%d runs listed, Len = %d", len(runs), s.Len())
+		}
+		for _, r := range runs {
+			if _, ok := s.RunByID(r.ID); !ok {
+				t.Fatalf("indexed run %s does not read back by id", r.ID)
+			}
+			var d Digest
+			b, err := hex.DecodeString(r.Digest)
+			if err != nil || len(b) != len(d) {
+				t.Fatalf("run %s lists digest %q", r.ID, r.Digest)
+			}
+			copy(d[:], b)
+			if _, id, ok := s.GetResult(d); !ok || id != r.ID {
+				t.Fatalf("indexed run %s does not read back by digest (ok=%t id=%q)", r.ID, ok, id)
+			}
+		}
+		var traces []string
+		for id := range s.traces {
+			traces = append(traces, id)
+		}
+		for _, id := range traces {
+			if _, ok := s.GetTrace(id); !ok {
+				t.Fatalf("indexed trace %s does not read back", id)
+			}
+		}
+		n := s.Len()
+		s.Close()
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		defer s2.Close()
+		if s2.Len() != n {
+			t.Fatalf("second Open indexed %d results, first %d", s2.Len(), n)
+		}
+	})
 }

@@ -11,6 +11,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -86,7 +88,10 @@ func BenchmarkRunStoreHitVsExecute(b *testing.B) {
 }
 
 // BenchmarkStoreOps measures the store's building blocks in isolation:
-// digest canonicalization, the log round trip, and a bloom-guarded miss.
+// digest canonicalization, the log round trip, a miss, and puts into a
+// store already at its byte budget, where every put evicts. The
+// put-at-capacity sizes span two orders of magnitude of live records:
+// a put must cost the same at each.
 func BenchmarkStoreOps(b *testing.B) {
 	dirs := []core.DirectiveState{{Name: "parallel", Enabled: true}, {Name: "reduction", Enabled: true}}
 	b.Run("digest", func(b *testing.B) {
@@ -126,7 +131,7 @@ func BenchmarkStoreOps(b *testing.B) {
 			}
 		}
 	})
-	b.Run("get-miss-bloom", func(b *testing.B) {
+	b.Run("get-miss", func(b *testing.B) {
 		st, err := store.Open(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
@@ -144,6 +149,44 @@ func BenchmarkStoreOps(b *testing.B) {
 			}
 		}
 	})
+	recBytes := func() int64 {
+		st, err := store.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		if _, err := st.PutResult(store.ResultDigest("cat", "k", 4, nil, nil, 1, false, 1), "k", res); err != nil {
+			b.Fatal(err)
+		}
+		return st.DiskSize()
+	}()
+	for exp := 3; exp <= 5; exp++ {
+		n := int(math.Pow10(exp))
+		// One store per size, filled once: the framework calls the
+		// sub-benchmark repeatedly, and every put keeps it full. Later
+		// run ids are a few bytes longer, so n puts overfill the budget.
+		st, err := store.Open(b.TempDir(), store.WithMaxBytes(int64(n)*recBytes))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seq int
+		put := func(b *testing.B) {
+			d := store.ResultDigest("cat", "k"+strconv.Itoa(seq), 4, nil, nil, 1, false, 1)
+			seq++
+			if _, err := st.PutResult(d, "k", res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			put(b)
+		}
+		b.Run(fmt.Sprintf("put-at-capacity/1e%d", exp), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				put(b)
+			}
+		})
+		st.Close()
+	}
 }
 
 // TestStoreHitTenfoldSpeedup pins the acceptance bar: for the expensive
