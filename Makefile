@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race serve serve-smoke cluster-smoke load-smoke bench bench-json figures study lab examples catalog clean
+.PHONY: all build vet test race fuzz serve serve-smoke cluster-smoke load-smoke bench bench-json figures study lab examples catalog clean
 
 all: build vet test
 
@@ -27,6 +27,14 @@ test: vet
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Run each fuzz target for 10s past its seed corpus (plain `go test`
+# only replays the seeds): the mpi wire codec, run-store replay and the
+# cluster frame reader.
+fuzz:
+	$(GO) test -run '^$$' -fuzz='^FuzzWireCodecRoundTrip$$' -fuzztime=10s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz='^FuzzStoreReplay$$' -fuzztime=10s ./internal/store
+	$(GO) test -run '^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/cluster
 
 # Run the patternlet HTTP service with classroom defaults.
 serve:

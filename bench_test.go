@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/exemplars"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
@@ -642,48 +641,6 @@ func BenchmarkWireBandwidth(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkWireCoalescing measures the small-message batching window on
-// the TCP transport with a one-way stream of tiny messages (one message
-// per op, single tail ack): immediate mode pays a write syscall per frame,
-// a batch window rides many frames per write — the throughput side of the
-// latency-vs-syscalls trade the window exists for.
-func BenchmarkWireCoalescing(b *testing.B) {
-	run := func(b *testing.B, window time.Duration) {
-		var topts []cluster.TCPOption
-		if window > 0 {
-			topts = append(topts, cluster.WithBatchWindow(window))
-		}
-		tr, err := cluster.NewTCPTransport(2, topts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs := b.N
-		err = mpi.Run(2, func(c *mpi.Comm) error {
-			const tag = 1
-			if c.Rank() == 0 {
-				for i := 0; i < msgs; i++ {
-					if err := mpi.Send(c, i, 1, tag); err != nil {
-						return err
-					}
-				}
-				_, _, err := mpi.Recv[bool](c, 1, 2)
-				return err
-			}
-			for i := 0; i < msgs; i++ {
-				if _, _, err := mpi.Recv[int](c, 0, tag); err != nil {
-					return err
-				}
-			}
-			return mpi.Send(c, true, 0, 2)
-		}, mpi.WithTransport(tr))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("immediate", func(b *testing.B) { run(b, 0) })
-	b.Run("window-100us", func(b *testing.B) { run(b, 100*time.Microsecond) })
 }
 
 // ---------------------------------------------------------------------------

@@ -38,13 +38,13 @@ const tier1Bench = "^(BenchmarkOMPRegionForkJoin|BenchmarkOMPBarrier|" +
 // commBench is the communication-stack suite: the per-collective
 // algorithm matrix plus the transport, barrier and wire-format baselines
 // (codec fast-path vs gob fallback, payload-size ping-pong, sustained
-// bandwidth, small-message coalescing), recorded as BENCH_<date>_comm.json
+// bandwidth), recorded as BENCH_<date>_comm.json
 // to justify the registry's policy thresholds and the wire codec's
 // existence.
 const commBench = "^(BenchmarkCollectiveAlgorithms|BenchmarkMPICollectives|" +
 	"BenchmarkTransportPingPong|BenchmarkAblationBarrierAlgorithms|" +
 	"BenchmarkAlltoall|BenchmarkFigure19MPIReduce|BenchmarkWireCodec|" +
-	"BenchmarkWirePingPong|BenchmarkWireBandwidth|BenchmarkWireCoalescing)$"
+	"BenchmarkWirePingPong|BenchmarkWireBandwidth)$"
 
 // tasksBench is the task-runtime suite: task spawn/wait overhead, taskloop
 // vs worksharing loops, tree-combine reductions, and the merge-sort
@@ -62,11 +62,9 @@ const tasksBench = "^(BenchmarkTaskSpawnWait|BenchmarkTaskRecursiveFanout|" +
 // requests from the store.
 const storeBench = "^(BenchmarkRunStoreHitVsExecute|BenchmarkStoreOps)$"
 
-// loadBench is the serving-pipeline suite: the back-to-back
-// instrumentation-off/on pair over the full serve.New stack (the
-// overhead budget the latency histograms must stay within) and the
-// histogram record path itself, disabled vs enabled, recorded as
-// BENCH_<date>_load.json. The macro companion — percentile reports from
+// loadBench is the serving-pipeline suite: one run through the full
+// serve.New stack, stage histograms included, and the histogram record
+// path itself, recorded as BENCH_<date>_load.json. The macro companion — percentile reports from
 // real HTTP load — comes from cmd/patternletbench, which writes the
 // same file format.
 const loadBench = "^(BenchmarkServePipeline|BenchmarkHistogramRecord)$"

@@ -456,7 +456,7 @@ type daemon struct {
 }
 
 // bootDaemon starts an in-process patternletd equivalent on an ephemeral
-// port: full catalog, latency histograms on, and a temp-dir run store so
+// port: full catalog and a temp-dir run store so
 // cached mixes exercise the hit path.
 func bootDaemon(workers, queue int) (*daemon, error) {
 	dir, err := os.MkdirTemp("", "patternletbench-store-*")
@@ -472,7 +472,6 @@ func bootDaemon(workers, queue int) (*daemon, error) {
 		serve.WithWorkers(workers),
 		serve.WithQueueDepth(queue),
 		serve.WithStore(st),
-		serve.WithLatencyHistograms(),
 	)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -70,7 +70,6 @@ func main() {
 		"how often members marked down are re-probed for recovery (cluster mode)")
 	storeDir := flag.String("store-dir", "", "directory for the persistent run store; repeat runs of deterministic patternlets are served from it (off when empty)")
 	storeMax := flag.Int64("store-max-bytes", store.DefaultMaxBytes, "byte budget for the run store's live records (LRU eviction past it)")
-	histograms := flag.Bool("histograms", true, "record per-stage latency histograms, exported via /metrics and /metrics.json")
 	flag.Parse()
 
 	opts := []serve.Option{
@@ -78,9 +77,6 @@ func main() {
 		serve.WithQueueDepth(*queue),
 		serve.WithTimeout(*timeout),
 		serve.WithMaxTimeout(*maxTimeout),
-	}
-	if *histograms {
-		opts = append(opts, serve.WithLatencyHistograms())
 	}
 	var runStore *store.Store
 	if *storeDir != "" {

@@ -3,13 +3,14 @@
 // of ranked processes onto those nodes, and a wire transport that carries
 // tagged messages between ranks.
 //
-// Two transports are provided. ChanTransport delivers through in-process
-// mailboxes and is the default. TCPTransport carries every message over a
-// real loopback TCP connection as length-prefixed binary frames (see
-// wire.go), so the message-passing patternlets exercise an actual network
-// path (the distributed-memory column of the paper's §I.A taxonomy). Both
-// present the same Transport interface, and the MPI layer is oblivious to
-// which one is underneath.
+// ChanTransport delivers through in-process mailboxes and is the
+// default. RemoteTransport hosts one rank and carries every message to
+// other ranks over TCP as length-prefixed binary frames (see wire.go);
+// TCPTransport is np such endpoints on loopback in one process, so the
+// message-passing patternlets exercise an actual network path (the
+// distributed-memory column of the paper's §I.A taxonomy). All present
+// the same Transport interface, and the MPI layer is oblivious to which
+// one is underneath.
 package cluster
 
 import (
@@ -137,10 +138,9 @@ func SendCopiesPayload(t Transport) bool {
 }
 
 // WireStatser is the optional interface a transport implements to expose
-// internal wire-level counters (misrouted frames, flush decisions, frames
-// coalesced). The Instrumented middleware folds these into its snapshots
-// so they surface next to the traffic counters instead of vanishing
-// inside the transport.
+// internal wire-level counters (misrouted frames, frames written). The
+// Instrumented middleware folds these into its snapshots so they surface
+// next to the traffic counters instead of vanishing inside the transport.
 type WireStatser interface {
 	WireStats() map[string]int64
 }

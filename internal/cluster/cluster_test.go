@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -407,5 +408,39 @@ func TestMessageFieldsSurviveTCPRoundTrip(t *testing.T) {
 	if out.Src != in.Src || out.Tag != in.Tag || out.Comm != in.Comm ||
 		fmt.Sprint(out.Payload) != fmt.Sprint(in.Payload) {
 		t.Fatalf("round trip changed message: %+v -> %+v", in, out)
+	}
+}
+
+// Close must stop every goroutine the transport started: each endpoint's
+// accept loop and the read loop of every connection, after traffic has
+// crossed every ordered pair of ranks (self-sends included).
+func TestTCPTransportCloseLeaksNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const np = 4
+	tr, err := NewTCPTransport(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < np; src++ {
+		for dst := 0; dst < np; dst++ {
+			if err := tr.Send(dst, Message{Src: src, Tag: 1, Payload: []byte{byte(src)}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Recv(dst, Match{Comm: 0, Src: src, Tag: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, baseline %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

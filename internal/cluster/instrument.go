@@ -44,8 +44,8 @@ type TrafficStats struct {
 	PeerSends  map[int]uint64 // destination world rank -> messages sent
 	PeerRecvs  map[int]uint64 // source world rank -> messages received
 	// Wire holds the underlying transport's wire-level counters
-	// (misrouted_frames, flush_immediate, flush_batched, frames_coalesced)
-	// when the transport keeps them; empty otherwise. Only Totals
+	// (misrouted_frames, flush_immediate) when the transport keeps them;
+	// empty otherwise. Only Totals
 	// populates it — wire counters are per-connection, not per-communicator.
 	Wire map[string]int64
 }

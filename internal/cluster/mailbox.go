@@ -28,7 +28,7 @@ type mailbox struct {
 	cond *sync.Cond
 	// queue[head:] are the undelivered messages. Deliveries overwhelmingly
 	// match at the front (FIFO traffic), so take bumps head instead of
-	// shifting the slice — a coalesced batch of thousands of frames drains
+	// shifting the slice — a burst of thousands of queued frames drains
 	// in linear time — and put resets to the start of the backing array
 	// whenever the queue empties, so steady-state traffic reuses one array
 	// with no allocation.

@@ -5,15 +5,17 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/wirecodec"
 )
 
-// RemoteTransport is the multi-OS-process variant of TCPTransport: it
-// carries exactly one rank of the world, with the other ranks living in
-// other processes (or other RemoteTransport instances). Each instance
-// owns one listener and a mailbox for its own rank, and dials peers by an
-// address table agreed on at startup (see the launch package's
-// rendezvous). It speaks the same length-prefixed binary frame format as
-// TCPTransport (wire.go), so the two interoperate byte-for-byte.
+// RemoteTransport carries exactly one rank of the world, with the other
+// ranks living in other processes (or other RemoteTransport instances).
+// Each instance owns one listener and a mailbox for its own rank, and
+// lazily dials peers by an address table agreed on at startup (see the
+// launch package's rendezvous), speaking the length-prefixed binary frame
+// format of wire.go. TCPTransport is np of these endpoints in one
+// process.
 //
 // With this transport, the "distributed-memory" property is not merely
 // simulated: ranks are separate operating-system processes with disjoint
@@ -24,9 +26,7 @@ type RemoteTransport struct {
 	addrs []string
 	box   *mailbox
 	ln    net.Listener
-
-	cfg  tcpConfig
-	wire wireCounters
+	wire  *wireCounters
 
 	connMu sync.Mutex
 	conns  map[int]*wireConn
@@ -35,35 +35,40 @@ type RemoteTransport struct {
 	closed    chan struct{}
 }
 
+// dialTimeout bounds the lazy per-peer dial. A loopback dial succeeds or
+// is refused at once; the bound matters off-host, where a peer process
+// may still be starting.
+const dialTimeout = 10 * time.Second
+
 // NewRemoteTransport creates the transport for one rank. ln must already
 // be listening on addrs[rank]; the address table must be identical in all
-// processes. Options tune dialing and coalescing exactly as on
-// TCPTransport.
-func NewRemoteTransport(rank, np int, addrs []string, ln net.Listener, opts ...TCPOption) (*RemoteTransport, error) {
+// processes.
+func NewRemoteTransport(rank, np int, addrs []string, ln net.Listener) (*RemoteTransport, error) {
 	if rank < 0 || rank >= np {
 		return nil, fmt.Errorf("cluster: remote rank %d out of range for np %d", rank, np)
 	}
 	if len(addrs) != np {
 		return nil, fmt.Errorf("cluster: %d addresses for np %d", len(addrs), np)
 	}
-	cfg := defaultTCPConfig()
-	cfg.dialTimeout = 10 * time.Second // cross-process startup is slower than loopback
-	for _, o := range opts {
-		o(&cfg)
-	}
+	return newEndpoint(rank, np, append([]string(nil), addrs...), ln, newWireCounters()), nil
+}
+
+// newEndpoint starts the endpoint for rank on ln. addrs and wire may be
+// shared with the other endpoints of an in-process world; neither is
+// written after construction except through wire's atomic counters.
+func newEndpoint(rank, np int, addrs []string, ln net.Listener, wire *wireCounters) *RemoteTransport {
 	t := &RemoteTransport{
 		rank:   rank,
 		np:     np,
-		addrs:  append([]string(nil), addrs...),
+		addrs:  addrs,
 		box:    newMailbox(),
 		ln:     ln,
-		cfg:    cfg,
+		wire:   wire,
 		conns:  map[int]*wireConn{},
 		closed: make(chan struct{}),
 	}
-	t.wire.init()
 	go t.acceptLoop()
-	return t, nil
+	return t
 }
 
 // ListenLoopback binds an ephemeral loopback listener, for rank processes
@@ -78,7 +83,7 @@ func (t *RemoteTransport) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go readFrames(conn, t.rank, &t.wire, func(m Message) { _ = t.box.put(m) })
+		go readFrames(conn, t.rank, t.wire, func(m Message) { _ = t.box.put(m) })
 	}
 }
 
@@ -93,14 +98,14 @@ func (t *RemoteTransport) dial(to int) (*wireConn, error) {
 		return nil, ErrClosed
 	default:
 	}
-	nc, err := net.DialTimeout("tcp", t.addrs[to], t.cfg.dialTimeout)
+	nc, err := net.DialTimeout("tcp", t.addrs[to], dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial remote rank %d at %s: %w", to, t.addrs[to], err)
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(t.cfg.noDelay)
+		_ = tc.SetNoDelay(true)
 	}
-	c := newWireConn(nc, t.cfg.batchWindow, &t.wire)
+	c := &wireConn{c: nc, wc: t.wire}
 	t.conns[to] = c
 	return c, nil
 }
@@ -111,7 +116,11 @@ func (t *RemoteTransport) Send(to int, m Message) error {
 		return errBadRank(to, t.np)
 	}
 	if to == t.rank {
-		return t.box.put(m) // self-send stays local
+		// A self-send stays local, but copies the payload into a pooled
+		// buffer — the ownership rule readFrame follows — so the caller
+		// may reuse its slice at once, as after a send over the wire.
+		m.Payload = append(wirecodec.Get(len(m.Payload)), m.Payload...)
+		return t.box.put(m)
 	}
 	c, err := t.dial(to)
 	if err != nil {
@@ -123,12 +132,13 @@ func (t *RemoteTransport) Send(to int, m Message) error {
 	return nil
 }
 
+// SendCopiesPayload implements PayloadCopier: a send to a peer writes
+// the frame to the socket and a self-send copies the payload, both before
+// Send returns.
+func (t *RemoteTransport) SendCopiesPayload() bool { return true }
+
 // WireStats implements WireStatser.
 func (t *RemoteTransport) WireStats() map[string]int64 { return t.wire.snapshot() }
-
-// Note: RemoteTransport does NOT implement PayloadCopier — a self-send
-// parks the caller's payload slice in the local mailbox, so sender-side
-// buffers must stay live until consumed.
 
 // checkOwnRank rejects receive operations for ranks this process does not
 // host.

@@ -1,216 +1,110 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"time"
 )
 
 // TCPTransport carries messages over loopback TCP sockets as compact
-// length-prefixed binary frames (wire.go): one listener per rank, one
-// lazily-dialed connection per (sender, receiver) pair. It gives the MPI
-// patternlets a real network substrate — every byte of every message
+// length-prefixed binary frames (wire.go). It gives the MPI patternlets
+// a real network substrate — every byte of every message between ranks
 // traverses the kernel's TCP stack — standing in for the paper's Beowulf
 // cluster interconnect.
 //
-// Small-message coalescing: with a non-zero batch window (WithBatchWindow)
-// every frame queued to the same peer within the window rides a single
-// write, trading up to one window of latency for an order of magnitude
-// fewer syscalls on chatty workloads. The default window is zero —
-// immediate single-write (or vectored-write) flushes — because the
-// patternlets teach latency first.
+// It is np loopback RemoteTransport endpoints in one process, one per
+// rank, over one shared address table and one shared set of wire
+// counters: Send dispatches on the sending rank (m.Src), Recv, RecvTimeout
+// and Probe on the receiving rank. Each endpoint owns its listener,
+// mailbox and lazily dialed connections, exactly as it would as the only
+// rank of an OS process.
 type TCPTransport struct {
-	np        int
-	boxes     []*mailbox
-	listeners []net.Listener
-	addrs     []string
-
-	cfg  tcpConfig
-	wire wireCounters
-
-	connMu sync.Mutex
-	conns  map[[2]int]*wireConn // key: {from, to}
-
-	closeOnce sync.Once
-	closed    chan struct{}
-}
-
-// tcpConfig carries the tunables the TCPOption functions set.
-type tcpConfig struct {
-	dialTimeout time.Duration
-	batchWindow time.Duration
-	noDelay     bool
-}
-
-func defaultTCPConfig() tcpConfig {
-	return tcpConfig{dialTimeout: 5 * time.Second, noDelay: true}
-}
-
-// TCPOption configures a TCPTransport, following the WithX
-// functional-option convention the rest of the repository uses.
-type TCPOption func(*tcpConfig)
-
-// WithDialTimeout bounds the lazy per-peer dial (default 5s).
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(c *tcpConfig) { c.dialTimeout = d }
-}
-
-// WithBatchWindow enables small-message coalescing: frames queued to the
-// same peer within d of each other are batched into one write. Zero (the
-// default) flushes every frame immediately.
-func WithBatchWindow(d time.Duration) TCPOption {
-	return func(c *tcpConfig) { c.batchWindow = d }
-}
-
-// WithNoDelay controls TCP_NODELAY on every connection (default true:
-// the transport manages its own batching, so kernel-side Nagle delay is
-// never wanted unless explicitly requested for comparison runs).
-func WithNoDelay(enabled bool) TCPOption {
-	return func(c *tcpConfig) { c.noDelay = enabled }
+	eps   []*RemoteTransport
+	addrs []string
+	wire  *wireCounters
 }
 
 // NewTCPTransport creates a loopback TCP transport for np ranks. It binds
 // np ephemeral ports on 127.0.0.1 and starts an accept loop per rank.
-func NewTCPTransport(np int, opts ...TCPOption) (*TCPTransport, error) {
-	cfg := defaultTCPConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	t := &TCPTransport{
-		np:     np,
-		boxes:  make([]*mailbox, np),
-		cfg:    cfg,
-		conns:  map[[2]int]*wireConn{},
-		closed: make(chan struct{}),
-	}
-	t.wire.init()
-	for i := 0; i < np; i++ {
-		t.boxes[i] = newMailbox()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+func NewTCPTransport(np int) (*TCPTransport, error) {
+	lns := make([]net.Listener, np)
+	t := &TCPTransport{addrs: make([]string, np), wire: newWireCounters()}
+	for i := range lns {
+		ln, err := ListenLoopback()
 		if err != nil {
-			_ = t.Close()
+			for _, l := range lns[:i] {
+				_ = l.Close()
+			}
 			return nil, fmt.Errorf("cluster: listen for rank %d: %w", i, err)
 		}
-		t.listeners = append(t.listeners, ln)
-		t.addrs = append(t.addrs, ln.Addr().String())
-		go t.acceptLoop(i, ln)
+		lns[i], t.addrs[i] = ln, ln.Addr().String()
+	}
+	for i, ln := range lns {
+		t.eps = append(t.eps, newEndpoint(i, np, t.addrs, ln, t.wire))
 	}
 	return t, nil
 }
 
-func (t *TCPTransport) acceptLoop(rank int, ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		box := t.boxes[rank]
-		go readFrames(conn, rank, &t.wire, func(m Message) { _ = box.put(m) })
+// endpoint returns the endpoint hosting rank.
+func (t *TCPTransport) endpoint(rank int) (*RemoteTransport, error) {
+	if rank < 0 || rank >= len(t.eps) {
+		return nil, errBadRank(rank, len(t.eps))
 	}
+	return t.eps[rank], nil
 }
 
-func (t *TCPTransport) dial(from, to int) (*wireConn, error) {
-	t.connMu.Lock()
-	defer t.connMu.Unlock()
-	key := [2]int{from, to}
-	if c, ok := t.conns[key]; ok {
-		return c, nil
-	}
-	select {
-	case <-t.closed:
-		return nil, ErrClosed
-	default:
-	}
-	nc, err := net.DialTimeout("tcp", t.addrs[to], t.cfg.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial rank %d: %w", to, err)
-	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(t.cfg.noDelay)
-	}
-	c := newWireConn(nc, t.cfg.batchWindow, &t.wire)
-	t.conns[key] = c
-	return c, nil
-}
-
-// Send implements Transport. The sending rank is taken from m.Src. The
-// frame (header and payload) is fully serialized before Send returns, so
-// the transport reports SendCopiesPayload and callers can recycle
-// payload buffers immediately.
+// Send implements Transport from the endpoint of the sending rank, m.Src.
 func (t *TCPTransport) Send(to int, m Message) error {
-	if to < 0 || to >= t.np {
-		return errBadRank(to, t.np)
-	}
-	c, err := t.dial(m.Src, to)
+	ep, err := t.endpoint(m.Src)
 	if err != nil {
 		return err
 	}
-	if err := c.send(to, m); err != nil {
-		return fmt.Errorf("cluster: send to rank %d: %w", to, err)
-	}
-	return nil
+	return ep.Send(to, m)
 }
 
-// SendCopiesPayload implements PayloadCopier: the payload is copied into
-// the frame (or written to the socket) before Send returns.
+// SendCopiesPayload implements PayloadCopier: the payload is written to
+// the socket, or copied into a pooled buffer for a self-send, before
+// Send returns.
 func (t *TCPTransport) SendCopiesPayload() bool { return true }
 
-// WireStats implements WireStatser: misrouted-frame and flush counters.
+// WireStats implements WireStatser: misrouted-frame and flush counters
+// summed over every endpoint.
 func (t *TCPTransport) WireStats() map[string]int64 { return t.wire.snapshot() }
 
 // Recv implements Transport.
 func (t *TCPTransport) Recv(rank int, mt Match) (Message, error) {
-	if rank < 0 || rank >= t.np {
-		return Message{}, errBadRank(rank, t.np)
+	ep, err := t.endpoint(rank)
+	if err != nil {
+		return Message{}, err
 	}
-	return t.boxes[rank].take(mt, true, 0)
+	return ep.Recv(rank, mt)
 }
 
 // RecvTimeout implements Transport.
 func (t *TCPTransport) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error) {
-	if rank < 0 || rank >= t.np {
-		return Message{}, errBadRank(rank, t.np)
+	ep, err := t.endpoint(rank)
+	if err != nil {
+		return Message{}, err
 	}
-	return t.boxes[rank].take(mt, true, time.Duration(timeoutNanos))
+	return ep.RecvTimeout(rank, mt, timeoutNanos)
 }
 
 // Probe implements Transport.
 func (t *TCPTransport) Probe(rank int, mt Match) (Message, error) {
-	if rank < 0 || rank >= t.np {
-		return Message{}, errBadRank(rank, t.np)
+	ep, err := t.endpoint(rank)
+	if err != nil {
+		return Message{}, err
 	}
-	return t.boxes[rank].take(mt, false, 0)
+	return ep.Probe(rank, mt)
 }
 
-// Close implements Transport: shuts listeners, connections and mailboxes.
+// Close implements Transport: closes every endpoint's listener,
+// connections and mailbox.
 func (t *TCPTransport) Close() error {
-	var errs []error
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		for _, ln := range t.listeners {
-			if err := ln.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		t.connMu.Lock()
-		for _, c := range t.conns {
-			if err := c.close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		t.connMu.Unlock()
-		for _, b := range t.boxes {
-			b.close()
-		}
-	})
-	return errors.Join(errs...)
+	for _, ep := range t.eps {
+		_ = ep.Close()
+	}
+	return nil
 }
 
 // Addrs returns the listen addresses, one per rank (useful in tests).
-func (t *TCPTransport) Addrs() []string {
-	out := make([]string, len(t.addrs))
-	copy(out, t.addrs)
-	return out
-}
+func (t *TCPTransport) Addrs() []string { return append([]string(nil), t.addrs...) }

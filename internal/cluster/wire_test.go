@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -18,6 +17,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{1, Message{Src: 0, Tag: 7, Comm: 0, Payload: []byte("hello")}},
 		{0, Message{Src: 3, Tag: -2, Comm: 12345678, Payload: nil}}, // internal collective tag
 		{5, Message{Src: 2, Tag: 0, Comm: -1, Payload: make([]byte, 70000)}},
+		// Over maxUpfront: the reader grows the payload as it arrives.
+		{2, Message{Src: 1, Tag: 1, Comm: 0, Payload: bytes.Repeat([]byte("0123456789"), maxUpfront/4)}},
 	}
 	var wire []byte
 	for _, x := range msgs {
@@ -39,6 +40,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, err := readFrame(r); err == nil {
 		t.Fatal("expected EOF after last frame")
+	}
+	// A frame whose meta carries a byte appendFrame would never write
+	// (an overlong varint) is rejected, not silently re-read.
+	overlong := []byte{6, 0, 0, 0, 5, 0x82, 0x00, 0, 0, 0}
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(overlong))); err == nil {
+		t.Fatal("accepted non-canonical frame meta")
 	}
 }
 
@@ -66,23 +73,6 @@ func TestReadFrameRejectsBadLength(t *testing.T) {
 	}
 }
 
-func TestTCPOptionDefaultsAndOverrides(t *testing.T) {
-	cfg := defaultTCPConfig()
-	if cfg.dialTimeout != 5*time.Second || !cfg.noDelay || cfg.batchWindow != 0 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-	for _, o := range []TCPOption{
-		WithDialTimeout(123 * time.Millisecond),
-		WithBatchWindow(time.Millisecond),
-		WithNoDelay(false),
-	} {
-		o(&cfg)
-	}
-	if cfg.dialTimeout != 123*time.Millisecond || cfg.batchWindow != time.Millisecond || cfg.noDelay {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
-}
-
 func TestTCPImmediateFlushCounters(t *testing.T) {
 	tr, err := NewTCPTransport(2)
 	if err != nil {
@@ -101,47 +91,10 @@ func TestTCPImmediateFlushCounters(t *testing.T) {
 		}
 	}
 	st := tr.WireStats()
-	if st[wireFlushImmediate] != n {
+	// One write per frame, and the flush counter is the only one besides
+	// misrouted frames.
+	if st[wireFlushImmediate] != n || len(st) != 2 {
 		t.Fatalf("flush_immediate = %d, want %d (stats: %v)", st[wireFlushImmediate], n, st)
-	}
-	if st[wireFlushBatched] != 0 || st[wireCoalesced] != 0 {
-		t.Fatalf("immediate mode must not batch: %v", st)
-	}
-}
-
-func TestTCPCoalescing(t *testing.T) {
-	tr, err := NewTCPTransport(2, WithBatchWindow(5*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	// All sends land well inside one 5ms window, so they must ride a
-	// single batched write.
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := tr.Send(1, Message{Src: 0, Tag: i, Comm: 0, Payload: []byte("tick")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if _, err := tr.Recv(1, Match{Comm: 0, Src: 0, Tag: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := tr.WireStats()
-	if st[wireFlushBatched] == 0 {
-		t.Fatalf("expected batched flushes, got %v", st)
-	}
-	if st[wireCoalesced] == 0 {
-		t.Fatalf("expected coalesced frames, got %v", st)
-	}
-	if st[wireFlushImmediate] != 0 {
-		t.Fatalf("coalescing mode must not flush immediately: %v", st)
-	}
-	// Non-overtaking must survive batching: total frames = batched flush
-	// batches + coalesced extras must cover all n sends.
-	if got := st[wireCoalesced] + st[wireFlushBatched]; got != n {
-		t.Fatalf("frames accounted = %d, want %d (stats %v)", got, n, st)
 	}
 }
 
@@ -206,6 +159,10 @@ func TestMiddlewarePromotesWireInterfaces(t *testing.T) {
 	if WireStats(stack) == nil {
 		t.Fatal("WireStats not promoted through middleware stack")
 	}
+	trs := newRemoteWorld(t, 1)
+	if !SendCopiesPayload(trs[0]) {
+		t.Fatal("RemoteTransport must report copy-on-send")
+	}
 	ch := NewChanTransport(2)
 	defer ch.Close()
 	if SendCopiesPayload(ch) {
@@ -214,4 +171,67 @@ func TestMiddlewarePromotesWireInterfaces(t *testing.T) {
 	if WireStats(ch) != nil {
 		t.Fatal("ChanTransport has no wire counters")
 	}
+}
+
+// A self-send must not park the caller's slice: SendCopiesPayload lets
+// the sender reuse its buffer the moment Send returns, so the delivered
+// payload is a copy on both transports.
+func TestSelfSendCopiesPayload(t *testing.T) {
+	tcp, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	remote := newRemoteWorld(t, 2)[1]
+	for name, tr := range map[string]Transport{"tcp": tcp, "remote": remote} {
+		rank := 1
+		payload := []byte("mine")
+		if err := tr.Send(rank, Message{Src: rank, Tag: 3, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		copy(payload, "XXXX") // the sender reuses its buffer at once
+		m, err := tr.Recv(rank, anyMsg)
+		if err != nil || string(m.Payload) != "mine" {
+			t.Fatalf("%s: self-send delivered (%q, %v), want a copy of %q", name, m.Payload, err, "mine")
+		}
+	}
+}
+
+// The frame reader is the first code to touch bytes from the network:
+// on any input it must return a frame or an error, never panic, never
+// allocate a payload over maxFrameLen, and every frame it accepts must
+// re-encode through appendFrame to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	for _, x := range []struct {
+		dst int
+		m   Message
+	}{
+		{1, Message{Src: 0, Tag: 7, Comm: 0, Payload: []byte("hello")}},
+		{0, Message{Src: 3, Tag: -2, Comm: 12345678}},
+		{-1 << 62, Message{Src: 1 << 62, Tag: -1, Comm: -1, Payload: make([]byte, 300)}},
+	} {
+		f.Add(appendFrame(nil, x.dst, x.m))
+	}
+	f.Add([]byte{2, 0, 0, 0, 10})            // frameLen < 1+metaLen
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // over maxFrameLen
+	f.Add([]byte{3, 0, 0, 0, 2, 0x80, 0x80}) // meta varint never ends
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		r := bufio.NewReader(src)
+		consumed := 0
+		for {
+			dst, m, err := readFrame(r)
+			if err != nil {
+				return
+			}
+			if len(m.Payload) > maxFrameLen {
+				t.Fatalf("payload of %d bytes over maxFrameLen", len(m.Payload))
+			}
+			end := len(data) - src.Len() - r.Buffered()
+			if again := appendFrame(nil, dst, m); !bytes.Equal(again, data[consumed:end]) {
+				t.Fatalf("accepted frame %x re-encodes as %x", data[consumed:end], again)
+			}
+			consumed = end
+		}
+	})
 }

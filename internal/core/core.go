@@ -252,8 +252,6 @@ func (p *Patternlet) Validate() error {
 
 // ValidateParams checks caller-supplied parameter overrides against the
 // declared set: an unknown name or an out-of-range value is an error.
-// Both Registry.Run and the HTTP layer's pre-admission validation apply
-// exactly this check, so a bad request fails the same way everywhere.
 func (p *Patternlet) ValidateParams(params map[string]int) error {
 	for name, v := range params {
 		decl, ok := p.param(name)
@@ -282,6 +280,39 @@ func (p *Patternlet) ResolveTasks(n int) int {
 		n = 4
 	}
 	return n
+}
+
+// MaxTasks bounds the task count and the simulated node count one run
+// may ask for. Shipped defaults stop at 10 tasks and the largest test
+// world has 32 ranks; the bound stops a single request from launching a
+// million-rank world or naming a billion simulated nodes.
+const MaxTasks = 256
+
+// CheckOptions validates opts against the patternlet — declared
+// directives and params, tasks and nodes in [0, MaxTasks], the resolved
+// task count at least MinTasks — and returns that resolved count.
+// Registry.Run applies it before running and the HTTP service before
+// admission, so a bad request fails the same way everywhere.
+func (p *Patternlet) CheckOptions(opts RunOptions) (tasks int, err error) {
+	for name := range opts.Toggles {
+		if _, ok := p.directive(name); !ok {
+			return 0, fmt.Errorf("core: patternlet %q has no directive %q", p.Key(), name)
+		}
+	}
+	if err := p.ValidateParams(opts.Params); err != nil {
+		return 0, err
+	}
+	if opts.NumTasks < 0 || opts.NumTasks > MaxTasks {
+		return 0, fmt.Errorf("core: tasks must be in [0, %d], got %d", MaxTasks, opts.NumTasks)
+	}
+	if opts.Nodes < 0 || opts.Nodes > MaxTasks {
+		return 0, fmt.Errorf("core: nodes must be in [0, %d], got %d", MaxTasks, opts.Nodes)
+	}
+	n := p.ResolveTasks(opts.NumTasks)
+	if min := max(p.MinTasks, 1); n < min {
+		return 0, fmt.Errorf("core: patternlet %q needs at least %d tasks, got %d", p.Key(), min, n)
+	}
+	return n, nil
 }
 
 // DirectiveState is one resolved toggle: the directive's name and the

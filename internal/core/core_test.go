@@ -210,6 +210,39 @@ func TestRunEnforcesMinTasks(t *testing.T) {
 	}
 }
 
+// Task and node counts outside [0, MaxTasks] are rejected before the
+// body starts; the bound itself is accepted. CheckOptions returns the
+// resolved count Registry.Run reports.
+func TestRunBoundsTasksAndNodes(t *testing.T) {
+	r := NewRegistry()
+	started := 0
+	p := testPatternlet("big", MPI)
+	p.Run = func(rc *RunContext) error { started++; return nil }
+	r.MustRegister(p)
+	for _, opts := range []RunOptions{
+		{NumTasks: -1},
+		{NumTasks: MaxTasks + 1},
+		{NumTasks: 1000000},
+		{Nodes: -1},
+		{Nodes: MaxTasks + 1},
+		{Nodes: 1000000000},
+	} {
+		if _, err := r.Run(context.Background(), "big.mpi", opts); err == nil {
+			t.Errorf("Run(%+v) accepted", opts)
+		}
+	}
+	if started != 0 {
+		t.Fatalf("body ran %d times for rejected options", started)
+	}
+	res, err := r.Run(context.Background(), "big.mpi", RunOptions{NumTasks: MaxTasks, Nodes: MaxTasks})
+	if err != nil || res.NumTasks != MaxTasks {
+		t.Fatalf("Run at the bound = (%d tasks, %v)", res.NumTasks, err)
+	}
+	if n, err := p.CheckOptions(RunOptions{}); err != nil || n != 4 {
+		t.Fatalf("CheckOptions(default) = (%d, %v), want (4, nil)", n, err)
+	}
+}
+
 func TestRunUnknownKey(t *testing.T) {
 	r := NewRegistry()
 	if _, err := r.Run(context.Background(), "nope.omp", RunOptions{}); err == nil {

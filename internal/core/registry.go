@@ -213,21 +213,9 @@ func runPatternlet(ctx context.Context, p *Patternlet, opts RunOptions) (Result,
 		ctx = context.Background()
 	}
 	res := Result{Key: p.Key()}
-	for name := range opts.Toggles {
-		if _, ok := p.directive(name); !ok {
-			return res, fmt.Errorf("core: patternlet %q has no directive %q", p.Key(), name)
-		}
-	}
-	if err := p.ValidateParams(opts.Params); err != nil {
+	n, err := p.CheckOptions(opts)
+	if err != nil {
 		return res, err
-	}
-	n := p.ResolveTasks(opts.NumTasks)
-	min := p.MinTasks
-	if min == 0 {
-		min = 1
-	}
-	if n < min {
-		return res, fmt.Errorf("core: patternlet %q needs at least %d tasks, got %d", p.Key(), min, n)
 	}
 	res.NumTasks = n
 	if err := ctx.Err(); err != nil {
@@ -280,7 +268,7 @@ func runPatternlet(ctx context.Context, p *Patternlet, opts RunOptions) (Result,
 	}
 
 	start := time.Now()
-	err := p.Run(rc)
+	err = p.Run(rc)
 	res.Elapsed = time.Since(start)
 	res.Output = w.Captured()
 	if rc.Trace != nil {

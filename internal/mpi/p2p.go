@@ -28,7 +28,7 @@ func Send[T any](c *Comm, v T, dest, tag int) error {
 
 // sendRaw is Send without user-facing validation, shared with collectives
 // (which use reserved negative tags). The encoded payload is a pooled
-// buffer: when the transport copies on Send (TCP frames), it is recycled
+// buffer: when the transport copies on Send (TCP endpoints), it is recycled
 // here immediately; otherwise ownership rides with the message and the
 // receiving rank recycles it after decoding.
 func sendRaw[T any](c *Comm, v T, dest, tag int) error {

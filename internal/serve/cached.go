@@ -47,11 +47,10 @@ type CachedExecutor struct {
 	catalog  string // registry fingerprint, folded into every digest
 	counters *telemetry.CounterSet
 
-	// lookupHist is the cache_lookup stage histogram (pipeline.go):
-	// the cost of canonicalizing the request and probing the store,
-	// recorded for every request crossing this layer. Nil when latency
-	// instrumentation is off.
-	lookupHist *telemetry.Histogram
+	// lookupHist is the cache_lookup stage histogram: the cost of
+	// canonicalizing the request and probing the store, recorded for
+	// every request crossing this layer.
+	lookupHist telemetry.Histogram
 
 	mu       sync.Mutex
 	inflight map[store.Digest]*flight
@@ -124,21 +123,14 @@ func (c *CachedExecutor) digest(req ExecRequest) (store.Digest, bool) {
 // Execute implements Executor: store hit, singleflight share, or execute-
 // and-persist — in that order. Ineligible requests bypass all of it.
 func (c *CachedExecutor) Execute(ctx context.Context, req ExecRequest) (ExecResult, error) {
-	var start time.Time
-	if c.lookupHist != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	d, eligible := c.digest(req)
 	if !eligible {
-		if h := c.lookupHist; h != nil {
-			h.RecordSince(start)
-		}
+		c.lookupHist.RecordSince(start)
 		return c.base.Execute(ctx, req)
 	}
 	res, id, ok := c.store.GetResult(d)
-	if h := c.lookupHist; h != nil {
-		h.RecordSince(start)
-	}
+	c.lookupHist.RecordSince(start)
 	if ok {
 		c.counters.Counter(ctrCacheHit).Inc()
 		return ExecResult{Result: res, Cached: true, RunID: id}, nil

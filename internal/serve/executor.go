@@ -107,9 +107,8 @@ type job struct {
 	ctx context.Context
 	run func(ctx context.Context) (core.Result, error)
 
-	// acceptedAt is stamped when the job enters the queue, only while
-	// latency histograms are on; the worker turns it into the
-	// queue-dwell sample. Zero means instrumentation is off.
+	// acceptedAt is stamped when the job enters the queue; the worker
+	// turns it into the queue-dwell sample.
 	acceptedAt time.Time
 
 	res  core.Result
@@ -138,11 +137,10 @@ type LocalExecutor struct {
 	counters *telemetry.CounterSet
 	traces   traceStore
 
-	// Pipeline stage histograms (see pipeline.go); all nil when latency
-	// instrumentation is off, making each record site one nil check.
-	admissionHist *telemetry.Histogram
-	queueHist     *telemetry.Histogram
-	executeHist   *telemetry.Histogram
+	// Stage histograms (see the stage names in serve.go).
+	admissionHist telemetry.Histogram
+	queueHist     telemetry.Histogram
+	executeHist   telemetry.Histogram
 
 	// execEWMA is an exponentially weighted moving average (α = 1/8) of
 	// recent execute-stage latencies in nanoseconds, updated by every
@@ -190,17 +188,13 @@ func (l *LocalExecutor) worker() {
 	defer l.wg.Done()
 	for j := range l.queue {
 		start := time.Now()
-		if h := l.queueHist; h != nil && !j.acceptedAt.IsZero() {
-			h.Record(start.Sub(j.acceptedAt).Nanoseconds())
-		}
+		l.queueHist.Record(start.Sub(j.acceptedAt).Nanoseconds())
 		l.running.Add(1)
 		j.res, j.err = j.run(j.ctx)
 		l.running.Add(-1)
 		elapsed := time.Since(start)
 		l.observeExecute(elapsed)
-		if h := l.executeHist; h != nil {
-			h.Record(elapsed.Nanoseconds())
-		}
+		l.executeHist.Record(elapsed.Nanoseconds())
 		switch {
 		case j.err == nil:
 			l.counters.Counter(ctrCompleted).Inc()
@@ -246,22 +240,13 @@ func (l *LocalExecutor) Execute(ctx context.Context, req ExecRequest) (ExecResul
 // sharded executor passes the world-spanning closure here so distributed
 // runs obey the same admission control as local ones.
 func (l *LocalExecutor) executeFunc(ctx context.Context, req ExecRequest, fn func(ctx context.Context) (core.Result, error)) (ExecResult, error) {
-	j := &job{ctx: ctx, run: fn, done: make(chan struct{})}
-	var start time.Time
-	if l.admissionHist != nil {
-		// Stamped before the queue send — the channel handoff is the
-		// happens-before edge the worker's queue-dwell read rides on.
-		start = time.Now()
-		j.acceptedAt = start
-	}
-	if err := l.submit(j); err != nil {
-		if h := l.admissionHist; h != nil {
-			h.RecordSince(start)
-		}
+	// Stamped before the queue send — the channel handoff is the
+	// happens-before edge the worker's queue-dwell read rides on.
+	j := &job{ctx: ctx, run: fn, acceptedAt: time.Now(), done: make(chan struct{})}
+	err := l.submit(j)
+	l.admissionHist.RecordSince(j.acceptedAt)
+	if err != nil {
 		return ExecResult{Result: core.Result{Key: req.Key}}, err
-	}
-	if h := l.admissionHist; h != nil {
-		h.RecordSince(start)
 	}
 	// The worker always closes done — even for a job whose context
 	// expired while queued (Registry.Run returns the ctx error without

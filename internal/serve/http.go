@@ -152,14 +152,11 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if m := s.metrics; m != nil {
-		// End-to-end covers every outcome this handler produces — 200s,
-		// 4xx validation bounces, 503 backpressure — because a load test
-		// sizing the daemon cares how long *answers* take, not only how
-		// long successes take.
-		start := time.Now()
-		defer func() { m.e2e.RecordSince(start) }()
-	}
+	// End-to-end covers every outcome this handler produces — 200s, 4xx
+	// validation bounces, 503 backpressure — because a load test sizing
+	// the daemon cares how long *answers* take, not only successes.
+	start := time.Now()
+	defer s.e2eHist.RecordSince(start)
 	var req RunRequest
 	if !decodeBody(w, r, "request body", &req) {
 		return
@@ -173,9 +170,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no patternlet %q", req.Key)
 		return
 	}
+	opts := core.RunOptions{
+		NumTasks: req.Tasks,
+		Toggles:  req.Toggles,
+		Params:   req.Params,
+		Seed:     req.Seed,
+		UseTCP:   req.UseTCP,
+		Nodes:    req.Nodes,
+		Collect:  req.Collect || req.Trace,
+	}
 	// Validate inputs before spending a queue slot, so bad requests fail
 	// fast with 400 instead of occupying a worker.
-	if err := validateRequest(p, &req); err != nil {
+	if _, err := p.CheckOptions(opts); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -195,16 +201,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	exec := ExecRequest{
-		Key: req.Key,
-		Opts: core.RunOptions{
-			NumTasks: req.Tasks,
-			Toggles:  req.Toggles,
-			Params:   req.Params,
-			Seed:     req.Seed,
-			UseTCP:   req.UseTCP,
-			Nodes:    req.Nodes,
-			Collect:  req.Collect || req.Trace,
-		},
+		Key:        req.Key,
+		Opts:       opts,
 		Trace:      req.Trace,
 		Redirect:   req.Redirect,
 		Distribute: req.Distribute,
@@ -268,16 +266,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusInternalServerError
 		resp.Error = err.Error()
 	}
-	var respondStart time.Time
-	if s.metrics != nil {
-		respondStart = time.Now()
-	}
+	respondStart := time.Now()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(resp)
-	if m := s.metrics; m != nil {
-		m.respond.RecordSince(respondStart)
-	}
+	s.respondHist.RecordSince(respondStart)
 }
 
 // handleWorker hosts one rank of a peer-launched world in this process.
@@ -299,41 +292,6 @@ func (s *Server) handleWorker(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}
 	json.NewEncoder(w).Encode(out)
-}
-
-// validateRequest applies the same input checks Registry.Run would, so
-// they surface as 400s before admission rather than 500s after.
-func validateRequest(p *core.Patternlet, req *RunRequest) error {
-	for name := range req.Toggles {
-		found := false
-		for _, d := range p.Directives {
-			if d.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("patternlet %q has no directive %q", p.Key(), name)
-		}
-	}
-	if err := p.ValidateParams(req.Params); err != nil {
-		return err
-	}
-	if req.Tasks < 0 {
-		return fmt.Errorf("tasks must be non-negative, got %d", req.Tasks)
-	}
-	n := req.Tasks
-	if n == 0 {
-		n = p.DefaultTasks
-	}
-	min := p.MinTasks
-	if min == 0 {
-		min = 1
-	}
-	if n != 0 && n < min {
-		return fmt.Errorf("patternlet %q needs at least %d tasks, got %d", p.Key(), min, n)
-	}
-	return nil
 }
 
 func retryAfterSeconds(d time.Duration) int {
@@ -397,19 +355,37 @@ func status(st Stats) string {
 	return "ok"
 }
 
-// metricsSnapshot merges the run store's counters and the pipeline
-// stage histograms (as serve.stage.* percentile keys) into the server's
-// counter snapshot; with neither configured it is exactly the serve
-// counter snapshot, keeping /metrics byte-identical to the
-// uninstrumented daemon.
+// metricsSnapshot merges the run store's counters and the stage
+// histograms of whichever executors this server has into the server's
+// counter snapshot. Each histogram becomes serve.stage.<name>.{count,
+// p50_ns, p90_ns, p95_ns, p99_ns, p999_ns, max_ns}, so the stages ride
+// the same sorted /metrics and /metrics.json surface as the counters;
+// a store-less single node exports no cache_lookup or ring_route series.
 func (s *Server) metricsSnapshot() map[string]int64 {
 	snap := s.counters.Snapshot()
-	if s.cfg.store != nil {
+	fold := func(name string, h *telemetry.Histogram) {
+		hs := h.Snapshot()
+		prefix := "serve.stage." + name + "."
+		snap[prefix+"count"] = hs.Count()
+		for _, p := range telemetry.Percentiles {
+			snap[prefix+p.Label+"_ns"] = hs.Quantile(p.Q)
+		}
+		snap[prefix+"max_ns"] = hs.Max
+	}
+	fold(stageAdmission, &s.local.admissionHist)
+	fold(stageQueue, &s.local.queueHist)
+	fold(stageExecute, &s.local.executeHist)
+	fold(stageRespond, &s.respondHist)
+	fold(stageE2E, &s.e2eHist)
+	if s.cached != nil {
+		fold(stageCache, &s.cached.lookupHist)
 		for name, v := range s.cfg.store.Counters() {
 			snap[name] = v
 		}
 	}
-	s.metrics.fold(snap)
+	if s.sharded != nil {
+		fold(stageRoute, &s.sharded.routeHist)
+	}
 	return snap
 }
 

@@ -12,12 +12,12 @@ import (
 	"time"
 )
 
-// With WithLatencyHistograms, every serving stage of a single-node
-// daemon must appear in /metrics.json with a consistent percentile
-// ladder, and the stage counts must add up to the requests served.
+// Every serving stage of a single-node daemon must appear in
+// /metrics.json with a consistent percentile ladder, and the stage
+// counts must add up to the requests served.
 func TestStageHistogramsRecordAndExport(t *testing.T) {
 	reg, _ := testRegistry(t)
-	s := New(reg, WithWorkers(2), WithLatencyHistograms())
+	s := New(reg, WithWorkers(2))
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -82,7 +82,7 @@ func TestStageHistogramsRecordAndExport(t *testing.T) {
 func TestCacheLookupStageRecorded(t *testing.T) {
 	reg, _, _ := cacheRegistry(t)
 	st := openStore(t, t.TempDir())
-	s := New(reg, WithStore(st), WithLatencyHistograms())
+	s := New(reg, WithStore(st))
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -110,7 +110,7 @@ func TestCacheLookupStageRecorded(t *testing.T) {
 func TestRingRouteStageRecorded(t *testing.T) {
 	reg, _ := testRegistry(t)
 	cc := ClusterConfig{Self: "n1", Peers: map[string]string{"n1": "127.0.0.1:1"}}
-	s := New(reg, WithCluster(cc), WithLatencyHistograms())
+	s := New(reg, WithCluster(cc))
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -124,11 +124,11 @@ func TestRingRouteStageRecorded(t *testing.T) {
 	}
 }
 
-// Without WithLatencyHistograms the metrics surface is byte-identical
-// to the uninstrumented daemon: after one run, /metrics.json is exactly
-// the three counters that run created, in sorted order — the golden
-// bytes double as the satellite's stable-key-order pin and the
-// acceptance criterion's "instrumentation off = identical to PR 8".
+// A store-less single node's /metrics.json after one run is exactly the
+// three counters that run created plus the five stage families the node
+// has, in sorted order: no cache_lookup or ring_route series, because no
+// request crosses those layers. The key set is golden; the values are
+// latencies and vary.
 func TestUninstrumentedMetricsGolden(t *testing.T) {
 	reg, _ := testRegistry(t)
 	s := New(reg)
@@ -144,14 +144,25 @@ func TestUninstrumentedMetricsGolden(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	const golden = `{"serve.accepted":1,"serve.completed":1,"serve.submitted":1}` + "\n"
-	if string(body) != golden {
-		t.Fatalf("/metrics.json = %q, want golden %q", body, golden)
+	var keys []string
+	for _, m := range regexp.MustCompile(`"([^"]*)":`).FindAllSubmatch(body, -1) {
+		keys = append(keys, string(m[1]))
 	}
-	// And the run response itself carries no instrumentation-era fields.
+	var golden []string
+	for _, stage := range []string{"admission_wait", "e2e", "execute", "queue_dwell", "respond"} {
+		for _, suffix := range []string{"count", "max_ns", "p50_ns", "p90_ns", "p95_ns", "p999_ns", "p99_ns"} {
+			golden = append(golden, "serve.stage."+stage+"."+suffix)
+		}
+	}
+	golden = append([]string{"serve.accepted", "serve.completed"}, golden...)
+	golden = append(golden, "serve.submitted")
+	if strings.Join(keys, " ") != strings.Join(golden, " ") {
+		t.Fatalf("/metrics.json keys =\n%v\nwant golden\n%v", keys, golden)
+	}
+	// And the run response itself carries no cluster or store fields.
 	rr := decodeRun(t, post(t, ts, `{"key":"fast.omp","tasks":2}`))
 	if rr.Node != "" || rr.Cached || rr.RunID != "" || rr.TraceID != "" {
-		t.Fatalf("uninstrumented single-node response grew fields: %+v", rr)
+		t.Fatalf("single-node response grew fields: %+v", rr)
 	}
 }
 
@@ -160,7 +171,7 @@ func TestUninstrumentedMetricsGolden(t *testing.T) {
 // tooling relies on.
 func TestMetricsJSONStableSortedOrder(t *testing.T) {
 	reg, _ := testRegistry(t)
-	s := New(reg, WithLatencyHistograms())
+	s := New(reg)
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -64,7 +64,6 @@ type config struct {
 	retryAfter    time.Duration
 	cluster       *ClusterConfig
 	store         *store.Store
-	histograms    bool
 }
 
 // WithWorkers caps run concurrency: at most n patternlets execute at
@@ -132,18 +131,11 @@ func WithStore(st *store.Store) Option {
 	return func(c *config) { c.store = st }
 }
 
-// WithLatencyHistograms turns on per-stage latency instrumentation:
-// every request records its admission-wait, queue-dwell, and execute
-// stages (plus cache-lookup and ring-route where those layers exist),
-// and the HTTP handler its respond and end-to-end time, into lock-free
-// log-bucketed histograms (telemetry.Histogram) exported through
-// /metrics and /metrics.json as p50/p90/p95/p99/p99.9/max. Off by
-// default: without this option no histogram exists, every record site
-// is a single nil field check, and the daemon's responses and metrics
-// surface are byte-identical to the uninstrumented build. See
-// pipeline.go for the stage map.
+// WithLatencyHistograms is a no-op kept so existing callers compile:
+// every server records its stage latency histograms (see the stage
+// names below).
 func WithLatencyHistograms() Option {
-	return func(c *config) { c.histograms = true }
+	return func(*config) {}
 }
 
 // WithCluster makes the server one member of a multi-node patternletd
@@ -165,6 +157,32 @@ const (
 	ctrTimedOut  = "serve.timedout"  // runs stopped by their deadline
 )
 
+// Stage names. The request path is the LocalExecutor (admission wait,
+// queue dwell and execute happen inside its worker pool), wrapped by the
+// CachedExecutor when a store is attached, wrapped by the sharded router
+// when the node is a cluster member; the HTTP handler adds respond and
+// end-to-end above the Executor seam. Each stage owns a latency
+// histogram, exported through /metrics and /metrics.json as
+// serve.stage.<name>.{count,p50_ns,p90_ns,p95_ns,p99_ns,p999_ns,max_ns}:
+//
+//	admission_wait  Execute entry → admitted to (or bounced from) the queue
+//	queue_dwell     admission → a worker picks the job up
+//	execute         the worker running the job (registry run or spanned world)
+//	cache_lookup    digest + store probe in the CachedExecutor (hit or miss)
+//	ring_route      routing decision, plus the full forward round trip for
+//	                peer-owned keys (the peer's own stages break its side down)
+//	respond         encoding the RunResponse onto the wire
+//	e2e             handleRun entry → response written, every outcome
+const (
+	stageAdmission = "admission_wait"
+	stageQueue     = "queue_dwell"
+	stageExecute   = "execute"
+	stageCache     = "cache_lookup"
+	stageRoute     = "ring_route"
+	stageRespond   = "respond"
+	stageE2E       = "e2e"
+)
+
 // Server executes patternlets from a registry under admission control.
 // Create with New, serve with Handler (or mount elsewhere), stop with
 // Shutdown.
@@ -177,7 +195,9 @@ type Server struct {
 	sharded  *shardedExecutor // nil on a single-node server
 	exec     Executor
 	counters telemetry.CounterSet
-	metrics  *pipelineMetrics // nil without WithLatencyHistograms
+
+	respondHist telemetry.Histogram
+	e2eHist     telemetry.Histogram
 }
 
 // New builds a Server over reg and starts its worker pool.
@@ -197,51 +217,23 @@ func New(reg *core.Registry, opts ...Option) *Server {
 		cfg.timeout = cfg.maxTimeout
 	}
 	s := &Server{reg: reg, cfg: cfg}
-	if cfg.histograms {
-		s.metrics = newPipelineMetrics(cfg.store != nil, cfg.cluster != nil)
-	}
 	s.local = newLocalExecutor(reg, cfg, &s.counters)
-	if m := s.metrics; m != nil {
-		s.local.admissionHist, s.local.queueHist, s.local.executeHist = m.admission, m.queue, m.execute
-	}
+	s.exec = s.local
 	if cfg.store != nil {
 		// The store persists traces alongside results; seed the trace-id
 		// counter past the persisted ids so a restarted daemon never
 		// mints a colliding id for a fresh trace.
 		s.local.persist = cfg.store
 		s.local.traces.next = cfg.store.MaxTraceSeq(s.local.traces.prefix)
-	}
-
-	// Compose the executor pipeline innermost-out from its named stages
-	// (see pipeline.go): the LocalExecutor's admission/queue/execute
-	// core, then cache-lookup, then ring-route. Each stage's wrap is a
-	// middleware over the pipeline built so far, so adding a layer is
-	// appending a stage — not re-threading three hand-wired fields.
-	var stages []stage
-	if cfg.store != nil {
-		stages = append(stages, stage{stageCache, func(next Executor) Executor {
-			s.cached = newCachedExecutor(next, reg, cfg.store, &s.counters)
-			if m := s.metrics; m != nil {
-				s.cached.lookupHist = m.cache
-			}
-			return s.cached
-		}})
+		s.cached = newCachedExecutor(s.exec, reg, cfg.store, &s.counters)
+		s.exec = s.cached
 	}
 	if cfg.cluster != nil {
-		stages = append(stages, stage{stageRoute, func(next Executor) Executor {
-			// The cache sits under the router: runs are placed on the
-			// ring first, and the owning node consults its own store, so
-			// each digest is cached exactly once in the cluster.
-			s.sharded = newShardedExecutor(s.local, next, *cfg.cluster, &s.counters)
-			if m := s.metrics; m != nil {
-				s.sharded.routeHist = m.route
-			}
-			return s.sharded
-		}})
-	}
-	s.exec = Executor(s.local)
-	for _, st := range stages {
-		s.exec = st.wrap(s.exec)
+		// The cache sits under the router: runs are placed on the ring
+		// first, and the owning node consults its own store, so each
+		// digest is cached exactly once in the cluster.
+		s.sharded = newShardedExecutor(s.local, s.exec, *cfg.cluster, &s.counters)
+		s.exec = s.sharded
 	}
 	return s
 }

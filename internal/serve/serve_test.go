@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -355,6 +356,41 @@ func TestRunEndpointStatuses(t *testing.T) {
 	resp.Body.Close()
 	if rr.Tasks != 3 || !strings.Contains(rr.Output, "fast ran with 3 tasks") {
 		t.Fatalf("RunResponse = %+v", rr)
+	}
+}
+
+// Absurd task and node counts are rejected with 400 by the same
+// core.CheckOptions bound Registry.Run applies, before admission: the
+// hostile bodies never take a queue slot, so serve.submitted does not
+// move.
+func TestHostileSizesRejectedBeforeAdmission(t *testing.T) {
+	reg, _ := testRegistry(t)
+	s := New(reg)
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"key":"fast.omp","tasks":1000000}`,
+		`{"key":"fast.omp","nodes":1000000000}`,
+		`{"key":"fast.omp","nodes":-1}`,
+		fmt.Sprintf(`{"key":"fast.omp","tasks":%d}`, core.MaxTasks+1),
+	} {
+		resp := post(t, ts, body)
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, raw)
+		}
+	}
+	if got := s.Stats().Counters[ctrSubmitted]; got != 0 {
+		t.Fatalf("serve.submitted = %d after hostile bodies, want 0", got)
+	}
+	// The bound itself is inclusive.
+	resp := post(t, ts, fmt.Sprintf(`{"key":"fast.omp","tasks":%d,"nodes":%d}`, core.MaxTasks, core.MaxTasks))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tasks=nodes=MaxTasks: status %d, want 200", resp.StatusCode)
 	}
 }
 

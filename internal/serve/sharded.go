@@ -122,10 +122,10 @@ type shardedExecutor struct {
 	client   *http.Client
 	counters *telemetry.CounterSet
 
-	// routeHist is the ring_route stage histogram (pipeline.go): the
-	// placement decision for keys executed here, the full forward round
-	// trip for peer-owned keys. Nil when latency instrumentation is off.
-	routeHist *telemetry.Histogram
+	// routeHist is the ring_route stage histogram: the placement
+	// decision for keys executed here, the full forward round trip for
+	// peer-owned keys.
+	routeHist telemetry.Histogram
 
 	attempts int
 	backoff  time.Duration
@@ -202,48 +202,40 @@ func newShardedExecutor(local *LocalExecutor, here Executor, cc ClusterConfig, c
 	return x
 }
 
-// stop halts the background peer prober; Server.Shutdown calls it.
+// stop halts the background peer prober and drops idle peer
+// connections, whose read loops would otherwise outlive the server;
+// Server.Shutdown calls it.
 func (x *shardedExecutor) stop() {
 	x.stopOnce.Do(func() { close(x.stopCh) })
+	x.client.CloseIdleConnections()
 }
 
 // Execute implements Executor with ring placement.
 func (x *shardedExecutor) Execute(ctx context.Context, req ExecRequest) (ExecResult, error) {
-	var start time.Time
-	if x.routeHist != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	if req.Forwarded {
 		// A peer already routed this run here; executing locally no
 		// matter what our ring says is what makes routing loop-free even
 		// while two nodes disagree about a death.
 		x.counters.Counter(ctrForwardIn).Inc()
-		if h := x.routeHist; h != nil {
-			h.RecordSince(start)
-		}
+		x.routeHist.RecordSince(start)
 		return x.executeHere(ctx, req)
 	}
 	owner := x.ring.Owner(req.Key)
 	if owner == "" || owner == x.self {
-		if h := x.routeHist; h != nil {
-			h.RecordSince(start)
-		}
+		x.routeHist.RecordSince(start)
 		return x.executeHere(ctx, req)
 	}
 	if req.Redirect {
 		x.counters.Counter(ctrRedirected).Inc()
-		if h := x.routeHist; h != nil {
-			h.RecordSince(start)
-		}
+		x.routeHist.RecordSince(start)
 		return ExecResult{Result: core.Result{Key: req.Key}}, &RedirectError{Node: owner, Addr: x.addrs[owner]}
 	}
 	out, err := x.forward(ctx, req)
-	if h := x.routeHist; h != nil {
-		// For a forwarded key the route stage is the whole remote round
-		// trip from this node's chair; the executing peer's own stage
-		// histograms break down where that time went on its side.
-		h.RecordSince(start)
-	}
+	// For a forwarded key the route stage is the whole remote round trip
+	// from this node's chair; the executing peer's own stage histograms
+	// break down where that time went on its side.
+	x.routeHist.RecordSince(start)
 	return out, err
 }
 

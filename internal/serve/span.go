@@ -63,13 +63,7 @@ func (x *shardedExecutor) span(ctx context.Context, req ExecRequest) (core.Resul
 		return core.Result{Key: req.Key},
 			fmt.Errorf("serve: distribute: %q is a %s patternlet; worlds span only MPI and MPI+OpenMP programs", req.Key, p.Model)
 	}
-	np := req.Opts.NumTasks
-	if np == 0 {
-		np = p.DefaultTasks
-	}
-	if np == 0 {
-		np = 4
-	}
+	np := p.ResolveTasks(req.Opts.NumTasks)
 	res := core.Result{Key: req.Key, NumTasks: np}
 
 	members := x.liveMembers()

@@ -428,7 +428,6 @@ func (s *Store) PutResult(d Digest, key string, res core.Result) (string, error)
 	if err := s.append(rec); err != nil {
 		return "", err
 	}
-	s.nextSeq++
 	s.counters.Counter(ctrPut).Inc()
 	return id, nil
 }

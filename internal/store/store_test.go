@@ -108,6 +108,34 @@ func TestReopenPersistence(t *testing.T) {
 	}
 }
 
+// Run ids advance by one per stored result, and a reopened store
+// continues the sequence where the log left it.
+func TestRunIDsAdvanceByOne(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"r0", "r1", "r2"} {
+		key := fmt.Sprintf("k%d", i)
+		id, err := s.PutResult(dg(key), key, res(key))
+		if err != nil || id != want {
+			t.Fatalf("put %d = (%q, %v), want %q", i, id, err, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if id, err := s2.PutResult(dg("k3"), "k3", res("k3")); err != nil || id != "r3" {
+		t.Fatalf("put after reopen = (%q, %v), want r3", id, err)
+	}
+}
+
 func TestReopenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

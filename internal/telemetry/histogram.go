@@ -16,11 +16,9 @@ import (
 //
 // Record is wait-free (one bucket Add, one sum Add, a CAS loop only on
 // a new maximum) and allocation-free, so it can sit on the serving hot
-// path. The serving layer keeps *Histogram fields that are nil when
-// instrumentation is off; the disabled path is the caller's one nil
-// check, the same contract the telemetry spine's span gating has
-// (DESIGN.md §7), and is gated by the same back-to-back benchmark
-// pattern (BenchmarkHistogramRecord, -suite load).
+// path: every serving-layer executor owns its stage histograms as plain
+// fields and records into them on every request. BenchmarkHistogramRecord
+// (-suite load) measures the record cost.
 //
 // Snapshots are plain counted copies: mergeable (associatively — see
 // TestHistogramMergeAssociativity), comparable, and safe to take while

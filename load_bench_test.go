@@ -1,13 +1,10 @@
 package repro
 
-// Serving-pipeline suite (benchjson -suite load): the back-to-back
-// instrumentation pair for the latency histograms. BenchmarkServePipeline
-// pushes a run through the full serve.New stack with histograms off and
-// on — the off side is the PR 8 baseline the on side is budgeted
-// against — and BenchmarkHistogramRecord isolates the primitive itself:
-// the disabled path (a nil histogram field, as every record site is
-// wired) against a live atomic record. The macro percentile numbers for
-// real HTTP load come from cmd/patternletbench, not this file.
+// Serving-pipeline suite (benchjson -suite load): BenchmarkServePipeline
+// pushes a run through the full serve.New stack, stage histograms
+// included, and BenchmarkHistogramRecord isolates the record primitive
+// every stage calls. The macro percentile numbers for real HTTP load
+// come from cmd/patternletbench, not this file.
 
 import (
 	"context"
@@ -20,69 +17,38 @@ import (
 	"repro/internal/telemetry"
 )
 
-// loadBenchServer builds a plain single-node server over the shipped
-// catalog, with or without latency instrumentation.
-func loadBenchServer(b testing.TB, instrumented bool) serve.Executor {
-	b.Helper()
-	opts := []serve.Option{serve.WithWorkers(4)}
-	if instrumented {
-		opts = append(opts, serve.WithLatencyHistograms())
-	}
-	s := serve.New(collection.Default, opts...)
-	b.Cleanup(func() { s.Shutdown(context.Background()) })
-	return s.Executor()
-}
-
-// BenchmarkServePipeline is the macro pair: one cheap deterministic
-// patternlet through admission, queue, worker and execute, identical on
-// both sides except for the stage histograms. The off/on delta is the
-// whole-pipeline cost of the instrumentation (five RecordSince calls and
-// their time.Now reads per run) and must stay in the noise of a run
-// that costs tens of microseconds.
+// BenchmarkServePipeline runs one cheap deterministic patternlet through
+// admission, queue, worker and execute on a plain single-node server over
+// the shipped catalog. Its stage histograms (five RecordSince calls and
+// their time.Now reads per run) are part of the measured cost.
 func BenchmarkServePipeline(b *testing.B) {
-	for _, side := range []struct {
-		name         string
-		instrumented bool
-	}{
-		{"histograms-off", false},
-		{"histograms-on", true},
-	} {
-		b.Run(side.name, func(b *testing.B) {
-			ex := loadBenchServer(b, side.instrumented)
-			req := serve.ExecRequest{Key: "reduction2.omp", Opts: core.RunOptions{NumTasks: 4}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.Execute(context.Background(), req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := serve.New(collection.Default, serve.WithWorkers(4))
+	b.Cleanup(func() { s.Shutdown(context.Background()) })
+	ex := s.Executor()
+	req := serve.ExecRequest{Key: "reduction2.omp", Opts: core.RunOptions{NumTasks: 4}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.Execute(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkHistogramRecord is the micro pair. The disabled side records
-// into a nil histogram through a struct field — the exact shape of every
-// instrumentation site in internal/serve, one predictable branch — and
-// the enabled side pays the real bucket-index-plus-three-atomics cost.
-// RecordSince adds a time.Now read on top, measured separately because
-// the clock, not the histogram, dominates it.
+// BenchmarkHistogramRecord measures the record path every stage pays:
+// the bucket index plus three atomics, and RecordSince with its
+// time.Now read on top, measured separately because the clock, not the
+// histogram, dominates it.
 func BenchmarkHistogramRecord(b *testing.B) {
-	carrier := struct{ hist *telemetry.Histogram }{}
-	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			carrier.hist.Record(int64(i))
-		}
-	})
-	carrier.hist = &telemetry.Histogram{}
+	var h telemetry.Histogram
 	b.Run("enabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			carrier.hist.Record(int64(i))
+			h.Record(int64(i))
 		}
 	})
 	b.Run("enabled-since", func(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			carrier.hist.RecordSince(start)
+			h.RecordSince(start)
 		}
 	})
 }

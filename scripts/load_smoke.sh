@@ -66,8 +66,7 @@ done
 grep -q '"p99_ns"' "$BENCH_JSON" || fail "BENCH json missing p99_ns metric"
 grep -q '"qps"' "$BENCH_JSON" || fail "BENCH json missing qps metric"
 
-# The daemon's own stage histograms saw the load (daemon default is
-# -histograms=true).
+# The daemon's own stage histograms, always recorded, saw the load.
 curl -fsS "$BASE/metrics.json" | grep -q '"serve.stage.e2e.count"' \
     || fail "/metrics.json has no stage histograms"
 
