@@ -29,12 +29,13 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Run each fuzz target for 10s past its seed corpus (plain `go test`
-# only replays the seeds): the mpi wire codec, run-store replay and the
-# cluster frame reader.
+# only replays the seeds): the mpi wire codec, run-store replay, the
+# cluster frame reader and /run request bodies.
 fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzWireCodecRoundTrip$$' -fuzztime=10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz='^FuzzStoreReplay$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz='^FuzzRunBody$$' -fuzztime=10s ./internal/serve
 
 # Run the patternlet HTTP service with classroom defaults.
 serve:

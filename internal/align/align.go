@@ -149,13 +149,18 @@ func Sequences(cfg Config) (a, b []byte) {
 
 // --- the DP kernel ---------------------------------------------------------
 
-// slab is a contiguous block of DP-matrix rows: local rows 1..rows map to
-// global rows gLo..gLo+rows-1, and local row 0 is the ghost row — the
-// global row above the block (the matrix boundary row for the topmost
-// slab, the predecessor rank's streamed last row in the pipeline).
+// slab is a column window over a contiguous block of DP-matrix rows:
+// local rows 1..rows map to global rows gLo..gLo+rows-1, and local row 0
+// is the ghost row — the global row above the block (the matrix boundary
+// row for the topmost slab, the predecessor rank's streamed last row in
+// the pipeline). Window column k holds global column c0+k. Serial and
+// Wavefront use a full-width window (c0 = 0, stride M+1); the pipeline
+// keeps only its current column chunk plus the column to its left, and
+// slides the window right chunk by chunk.
 type slab struct {
 	vals   []int32 // (rows+1) * stride
-	stride int     // M+1
+	stride int     // window width in columns
+	c0     int     // global column of window column 0
 	rows   int     // local compute rows (excluding the ghost row)
 	gLo    int     // global row index of local row 1
 	a      []byte  // characters for global rows gLo..gLo+rows-1 (local slice)
@@ -163,25 +168,37 @@ type slab struct {
 	cfg    Config  // normalized
 }
 
-// newSlab allocates a slab covering global rows gLo..gLo+rows-1.
-func newSlab(cfg Config, a, b []byte, gLo, rows int) *slab {
-	cfg = cfg.norm()
+// newSlab allocates a window of cols columns, starting at global column
+// 0, over global rows gLo..gLo+rows-1.
+func newSlab(cfg Config, a, b []byte, gLo, rows, cols int) *slab {
 	return &slab{
-		vals:   make([]int32, (rows+1)*(cfg.M+1)),
-		stride: cfg.M + 1,
+		vals:   make([]int32, (rows+1)*cols),
+		stride: cols,
 		rows:   rows,
 		gLo:    gLo,
 		a:      a,
 		b:      b,
-		cfg:    cfg,
+		cfg:    cfg.norm(),
 	}
 }
 
-func (s *slab) at(r, j int) int32     { return s.vals[r*s.stride+j] }
-func (s *slab) set(r, j int, v int32) { s.vals[r*s.stride+j] = v }
+// at and set address global column j, which must lie in the window.
+func (s *slab) at(r, j int) int32     { return s.vals[r*s.stride+j-s.c0] }
+func (s *slab) set(r, j int, v int32) { s.vals[r*s.stride+j-s.c0] = v }
 
-// row returns local row r as a slice (length stride).
+// row returns local row r of the window (length stride; index k is
+// global column c0+k).
 func (s *slab) row(r int) []int32 { return s.vals[r*s.stride : (r+1)*s.stride] }
+
+// slide moves the window one chunk right: its last column becomes
+// window column 0, the west neighbour of the next chunk's first column.
+func (s *slab) slide() {
+	last := s.stride - 1
+	for r := 0; r <= s.rows; r++ {
+		s.vals[r*s.stride] = s.vals[r*s.stride+last]
+	}
+	s.c0 += last
+}
 
 // inBand reports whether global cell (i, j) is computed. Band 0 means
 // the full matrix.
@@ -209,10 +226,11 @@ func boundaryCell(cfg Config, i, j int) int32 {
 	return int32(GapScore * (i + j)) // one of i, j is 0 on a boundary
 }
 
-// initGhostBoundary fills the slab's ghost row with the matrix's global
-// row 0 — only valid for the slab whose gLo is 1.
-func (s *slab) initGhostBoundary() {
-	for j := 0; j <= s.cfg.M; j++ {
+// initGhostBoundary fills global columns [lo, hi) of the slab's ghost
+// row with the matrix's global row 0 — only valid for the slab whose gLo
+// is 1.
+func (s *slab) initGhostBoundary(lo, hi int) {
+	for j := lo; j < hi; j++ {
 		s.set(0, j, boundaryCell(s.cfg, 0, j))
 	}
 }
@@ -224,58 +242,61 @@ func (s *slab) initCol0() {
 	}
 }
 
-// computeCells fills local rows [rLo, rHi) × columns [cLo, cHi) of the
-// slab, assuming every north/west/northwest dependency inside and above
-// the rectangle is already computed. This is THE scoring kernel: the
+// computeCells fills local rows [rLo, rHi) × global columns [cLo, cHi)
+// of the slab (columns cLo-1 through cHi-1 must lie in the window),
+// assuming every north/west/northwest dependency inside and above the
+// rectangle is already computed. This is THE scoring kernel: the
 // serial oracle calls it once over the whole matrix, the wavefront once
 // per block, the pipeline once per (rank, column chunk) tile — so a
 // score can never differ between drivers, only the order it was
 // computed in.
 func (s *slab) computeCells(rLo, rHi, cLo, cHi int) {
-	band, local := s.cfg.Band, s.cfg.Local
+	band, local, c0 := s.cfg.Band, s.cfg.Local, s.c0
 	for r := rLo; r < rHi; r++ {
 		gi := s.gLo + r - 1
 		ai := s.a[gi-s.gLo]
 		prev := s.row(r - 1)
 		cur := s.row(r)
 		for j := cLo; j < cHi; j++ {
+			k := j - c0
 			if !inBand(gi, j, band) {
-				cur[j] = NegInf
+				cur[k] = NegInf
 				continue
 			}
 			sub := int32(MismatchScore)
 			if ai == s.b[j-1] {
 				sub = MatchScore
 			}
-			best := prev[j-1] + sub
-			if v := prev[j] + GapScore; v > best {
+			best := prev[k-1] + sub
+			if v := prev[k] + GapScore; v > best {
 				best = v
 			}
-			if v := cur[j-1] + GapScore; v > best {
+			if v := cur[k-1] + GapScore; v > best {
 				best = v
 			}
 			if local && best < 0 {
 				best = 0
 			}
-			cur[j] = best
+			cur[k] = best
 		}
 	}
 }
 
 // --- summary extraction ----------------------------------------------------
 
-// fnvOffset/fnvPrime are the FNV-1a 64 constants.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// FNVOffset is the FNV-1a 64 initial state: a row hash starts here.
+const FNVOffset = 14695981039346656037
 
-// RowHash hashes one full matrix row (FNV-1a over little-endian cell
-// bytes). Ranks hash their own rows; the root folds the hashes in global
-// row order, so the combined checksum is position-sensitive without any
-// rank needing another rank's cells.
-func RowHash(row []int32) uint64 {
-	h := uint64(fnvOffset)
+// fnvPrime is the FNV-1a 64 multiplier.
+const fnvPrime = 1099511628211
+
+// RowHash continues the FNV-1a hash h over a row's cells (little-endian
+// cell bytes); start a row at FNVOffset. Ranks hash their own rows; the
+// root folds the hashes in global row order, so the combined checksum is
+// position-sensitive without any rank needing another rank's cells.
+// FNV-1a is byte-serial, so a row hashed in column pieces, each piece
+// continuing from the last one's state, hashes the same as the whole.
+func RowHash(h uint64, row []int32) uint64 {
 	for _, v := range row {
 		u := uint32(v)
 		for shift := 0; shift < 32; shift += 8 {
@@ -288,7 +309,7 @@ func RowHash(row []int32) uint64 {
 
 // FoldHashes combines per-row hashes in order into the matrix checksum.
 func FoldHashes(hashes []uint64) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(FNVOffset)
 	for _, rh := range hashes {
 		for shift := 0; shift < 64; shift += 8 {
 			h ^= uint64(byte(rh >> shift))
@@ -298,44 +319,55 @@ func FoldHashes(hashes []uint64) uint64 {
 	return h
 }
 
-// localMax returns the largest in-band cell of local rows [1, rows] —
-// the Smith-Waterman score contribution of this slab.
-func (s *slab) localMax() int32 {
+// localMax returns the largest in-band cell of local rows [1, rows] ×
+// global columns [lo, hi) — this window's Smith-Waterman score
+// contribution.
+func (s *slab) localMax(lo, hi int) int32 {
 	best := int32(NegInf)
 	for r := 1; r <= s.rows; r++ {
 		gi := s.gLo + r - 1
 		row := s.row(r)
-		for j := 0; j <= s.cfg.M; j++ {
-			if inBand(gi, j, s.cfg.Band) && row[j] > best {
-				best = row[j]
+		for j := lo; j < hi; j++ {
+			if v := row[j-s.c0]; v > best && inBand(gi, j, s.cfg.Band) {
+				best = v
 			}
 		}
 	}
 	return best
 }
 
-// rowHashes returns the hashes of local rows [1, rows] in order. Rows go
-// four at a time through rowHash4, and any 1-3 leftover rows through
-// RowHash; both compute the same FNV-1a, so the split never shows in a
-// checksum.
-func (s *slab) rowHashes() []uint64 {
-	out := make([]uint64, s.rows)
+// hashCols continues the hash of each local row r in [1, rows], h[r-1],
+// over global columns [lo, hi) of the window. Rows go four at a time
+// through rowHash4, and any 1-3 leftover rows through RowHash; both
+// compute the same FNV-1a, so the split never shows in a checksum.
+// Serial and Wavefront call it once over the full width, the pipeline
+// and hybrid once per chunk while the tile is still in cache.
+func (s *slab) hashCols(h []uint64, lo, hi int) {
+	lo, hi = lo-s.c0, hi-s.c0
 	r := 1
 	for ; r+3 <= s.rows; r += 4 {
-		out[r-1], out[r], out[r+1], out[r+2] = rowHash4(s.row(r), s.row(r+1), s.row(r+2), s.row(r+3))
+		h[r-1], h[r], h[r+1], h[r+2] = rowHash4(h[r-1], h[r], h[r+1], h[r+2],
+			s.row(r)[lo:hi], s.row(r + 1)[lo:hi], s.row(r + 2)[lo:hi], s.row(r + 3)[lo:hi])
 	}
 	for ; r <= s.rows; r++ {
-		out[r-1] = RowHash(s.row(r))
+		h[r-1] = RowHash(h[r-1], s.row(r)[lo:hi])
 	}
-	return out
 }
 
-// rowHash4 is RowHash over four equal-length rows at once. FNV-1a is a
-// serial chain of multiplies per row; running four independent chains in
-// one loop lets their multiplies overlap in the pipeline, where one chain
-// alone waits out each multiply's latency.
-func rowHash4(r0, r1, r2, r3 []int32) (h0, h1, h2, h3 uint64) {
-	h0, h1, h2, h3 = fnvOffset, fnvOffset, fnvOffset, fnvOffset
+// newRowHashes returns rows hash states, each at FNVOffset.
+func newRowHashes(rows int) []uint64 {
+	h := make([]uint64, rows)
+	for i := range h {
+		h[i] = FNVOffset
+	}
+	return h
+}
+
+// rowHash4 continues four row hashes over four equal-length rows at
+// once. FNV-1a is a serial chain of multiplies per row; running four
+// independent chains in one loop lets their multiplies overlap in the
+// pipeline, where one chain alone waits out each multiply's latency.
+func rowHash4(h0, h1, h2, h3 uint64, r0, r1, r2, r3 []int32) (uint64, uint64, uint64, uint64) {
 	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)] // one length: no bounds checks in the loop
 	for j, v := range r0 {
 		u0, u1, u2, u3 := uint64(uint32(v)), uint64(uint32(r1[j])), uint64(uint32(r2[j])), uint64(uint32(r3[j]))
@@ -363,12 +395,12 @@ func rowHash4(r0, r1, r2, r3 []int32) (h0, h1, h2, h3 uint64) {
 // computation: ghost row 0 is the matrix boundary row and participates
 // in the checksum.
 func (s *slab) summarize() Summary {
-	hashes := make([]uint64, 0, s.rows+1)
-	hashes = append(hashes, RowHash(s.row(0)))
-	hashes = append(hashes, s.rowHashes()...)
+	hashes := newRowHashes(s.rows + 1)
+	hashes[0] = RowHash(FNVOffset, s.row(0))
+	s.hashCols(hashes[1:], 0, s.cfg.M+1)
 	score := s.at(s.rows, s.cfg.M)
 	if s.cfg.Local {
-		score = s.localMax()
+		score = s.localMax(0, s.cfg.M+1)
 		if b := boundaryRowMax(s.cfg); b > score {
 			score = b
 		}
@@ -413,8 +445,8 @@ func Serial(cfg Config) (Summary, error) {
 		return Summary{}, err
 	}
 	a, b := Sequences(cfg)
-	s := newSlab(cfg, a, b, 1, cfg.N)
-	s.initGhostBoundary()
+	s := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
+	s.initGhostBoundary(0, cfg.M+1)
 	s.initCol0()
 	s.computeCells(1, cfg.N+1, 1, cfg.M+1)
 	return s.summarize(), nil

@@ -7,7 +7,7 @@ import (
 )
 
 // goldenSummaries pins literal Summary transcripts. perfbench checks
-// served runs against Serial, and Serial shares rowHashes with every
+// served runs against Serial, and Serial shares hashCols with every
 // driver, so a change to the hashing could move all of them together
 // and still pass every equivalence test; these literals catch that.
 var goldenSummaries = []struct {
@@ -22,6 +22,15 @@ var goldenSummaries = []struct {
 	// At np=4 the ranks own 16, 16, 16 and 15 rows: the last one hashes
 	// three rows four at a time and three more one at a time.
 	{Config{N: 63, Seed: 1}, "align global (Needleman-Wunsch) n=63 m=63 band=0 seed=1\nscore=21 checksum=9f50793e1a62568a\n"},
+	// Edge cases of the pipeline's column window: Block > M (one chunk);
+	// M not a multiple of Block (a short last chunk); M far wider and
+	// far narrower than N; a local max past the first chunk; and, at
+	// np=25, ranks with no rows.
+	{Config{N: 40, M: 20, Block: 64, Seed: 5}, "align global (Needleman-Wunsch) n=40 m=20 band=0 seed=5\nscore=-18 checksum=427e86c1f1deb244\n"},
+	{Config{N: 130, M: 131, Block: 16, Seed: 6}, "align global (Needleman-Wunsch) n=130 m=131 band=0 seed=6\nscore=54 checksum=c992d60917f79071\n"},
+	{Config{N: 97, M: 300, Band: 40, Block: 24, Seed: 7, Local: true}, "align local (Smith-Waterman) n=97 m=300 band=40 seed=7\nscore=44 checksum=ffb54dfd5dac9701\n"},
+	{Config{N: 300, M: 97, Band: 250, Block: 8, Seed: 8, Local: true}, "align local (Smith-Waterman) n=300 m=97 band=250 seed=8\nscore=60 checksum=c696b7bedde35d96\n"},
+	{Config{N: 20, M: 200, Block: 33, Seed: 9}, "align global (Needleman-Wunsch) n=20 m=200 band=0 seed=9\nscore=-320 checksum=83a8e6332299b775\n"},
 }
 
 func TestGoldenSummaries(t *testing.T) {
@@ -30,7 +39,7 @@ func TestGoldenSummaries(t *testing.T) {
 			if got := mustSerial(t, g.cfg).String(); got != g.want {
 				t.Fatalf("Serial:\n%q\nwant\n%q", got, g.want)
 			}
-			for _, np := range []int{4, 5} {
+			for _, np := range []int{1, 3, 4, 5, 7, 25} {
 				got, err := Pipeline(g.cfg, np)
 				if err != nil {
 					t.Fatal(err)
@@ -38,18 +47,27 @@ func TestGoldenSummaries(t *testing.T) {
 				if got.String() != g.want {
 					t.Fatalf("Pipeline np=%d:\n%q\nwant\n%q", np, got, g.want)
 				}
+				if got, err = Hybrid(g.cfg, np, 2); err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != g.want {
+					t.Fatalf("Hybrid np=%d:\n%q\nwant\n%q", np, got, g.want)
+				}
 			}
 		})
 	}
 }
 
 func TestRowHashesMatchRowHash(t *testing.T) {
-	// rowHashes takes rows four at a time and the rest one by one; every
+	// hashCols takes rows four at a time and the rest one by one; every
 	// slab height from 1 to 9 covers each leftover count at least twice.
+	// A row hashed as columns [0, k) and then [k, stride) must hash the
+	// same as the whole row, for every split k: the pipeline hashes its
+	// rows chunk by chunk.
 	rng := rand.New(rand.NewSource(1))
 	for rows := 1; rows <= 9; rows++ {
 		for _, m := range []int{1, 7, 64} {
-			s := newSlab(Config{N: rows, M: m}, nil, nil, 1, rows)
+			s := newSlab(Config{N: rows, M: m}, nil, nil, 1, rows, m+1)
 			for i := range s.vals {
 				switch rng.Intn(4) {
 				case 0:
@@ -60,38 +78,61 @@ func TestRowHashesMatchRowHash(t *testing.T) {
 					s.vals[i] = rng.Int31()
 				}
 			}
-			got := s.rowHashes()
-			if len(got) != rows {
-				t.Fatalf("rows=%d m=%d: %d hashes", rows, m, len(got))
-			}
-			for r := 1; r <= rows; r++ {
-				if want := RowHash(s.row(r)); got[r-1] != want {
-					t.Fatalf("rows=%d m=%d row %d: %016x, RowHash %016x", rows, m, r, got[r-1], want)
+			for k := 0; k <= s.stride; k++ {
+				got := newRowHashes(rows)
+				s.hashCols(got, 0, k)
+				s.hashCols(got, k, s.stride)
+				for r := 1; r <= rows; r++ {
+					if want := RowHash(FNVOffset, s.row(r)); got[r-1] != want {
+						t.Fatalf("rows=%d m=%d split=%d row %d: %016x, RowHash %016x", rows, m, k, r, got[r-1], want)
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestPipelineBytesPerRun pins the pipeline's memory to the column
+// window: each rank holds about (n/np+1)·(Block+1) cells, not a whole
+// (n/np+1)·(n+1) row block (4.3 MB per run at n=1024 np=4).
+func TestPipelineBytesPerRun(t *testing.T) {
+	cfg := Config{N: 1024, Seed: 1}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Pipeline(cfg, 4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Fatalf("Pipeline n=1024 np=4 allocates %d bytes per run, want < 1 MiB", got)
+	}
+}
+
 // BenchmarkRowHashes times hashing a whole n×n matrix's rows one at a
-// time through RowHash (the old path) against rowHashes' four-way
-// interleave, at the two served sizes.
+// time through RowHash against hashCols' four-way interleave, at the
+// two served sizes.
 func BenchmarkRowHashes(b *testing.B) {
 	for _, n := range []int{256, 512} {
-		s := newSlab(Config{N: n}, nil, nil, 1, n)
+		s := newSlab(Config{N: n}, nil, nil, 1, n, n+1)
 		for i := range s.vals {
 			s.vals[i] = int32(i * 2654435761)
 		}
 		b.Run(fmt.Sprintf("n=%d/RowHash", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 1; r <= s.rows; r++ {
-					sinkHash ^= RowHash(s.row(r))
+					sinkHash ^= RowHash(FNVOffset, s.row(r))
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/rowHashes", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/hashCols", n), func(b *testing.B) {
+			h := make([]uint64, n)
 			for i := 0; i < b.N; i++ {
-				sinkHash ^= s.rowHashes()[0]
+				for j := range h {
+					h[j] = FNVOffset
+				}
+				s.hashCols(h, 0, s.stride)
+				sinkHash ^= h[0]
 			}
 		})
 	}

@@ -42,7 +42,9 @@ func partition(n, np, rank int) (rowsPer, gLo, rows int) {
 //	          predecessor's last row for those columns into its ghost
 //	          row, and after computing it streams its own last row to
 //	          the successor — the classic software pipeline, with the
-//	          chunk index as the message tag.
+//	          chunk index as the message tag. A rank holds only the
+//	          current chunk's columns, and hashes each chunk's rows
+//	          before moving on.
 //	reduce:   the score max-reduces to the root; per-row checksum hashes
 //	          gather in rank order, so the root folds them into the same
 //	          whole-matrix checksum the serial oracle computes.
@@ -92,24 +94,31 @@ func pipelineRank(c *mpi.Comm, cfg Config, compute func(s *slab, cLo, cHi int)) 
 	// corner); ranks past it have no rows and skip the pipeline.
 	lastRank := (cfg.N - 1) / rowsPer
 
-	var s *slab
+	// Score: for global alignment only the corner's owner has it; for
+	// local alignment every rank's block max competes. Non-contributors
+	// offer NegInf, which any real cell beats.
+	score := int32(NegInf)
+	var myHashes []uint64
 	if rows > 0 {
-		s = newSlab(cfg, myA[:rows], b, gLo, rows)
-		if gLo == 1 {
-			s.initGhostBoundary()
-		} else {
-			// Ghost columns arrive chunk by chunk from the predecessor;
-			// only column 0 (never part of a chunk) is a boundary value.
-			s.set(0, 0, boundaryCell(cfg, gLo-1, 0))
-		}
+		// The rank keeps one column chunk of its rows plus the column to
+		// the chunk's left (its first column's west and northwest
+		// neighbours), not the whole row block.
+		s := newSlab(cfg, myA[:rows], b, gLo, rows, min(cfg.Block, cfg.M)+1)
+		// Ghost columns arrive chunk by chunk from the predecessor (or
+		// from the boundary formula on the first rank); column 0 is
+		// never part of a chunk.
+		s.set(0, 0, boundaryCell(cfg, gLo-1, 0))
 		s.initCol0()
+		myHashes = newRowHashes(rows)
 
 		for chunk, cLo := 0, 1; cLo <= cfg.M; chunk, cLo = chunk+1, cLo+cfg.Block {
-			cHi := cLo + cfg.Block
-			if cHi > cfg.M+1 {
-				cHi = cfg.M + 1
+			cHi := min(cLo+cfg.Block, cfg.M+1)
+			if chunk > 0 {
+				s.slide()
 			}
-			if gLo > 1 {
+			if gLo == 1 {
+				s.initGhostBoundary(cLo, cHi)
+			} else {
 				seg, _, err := mpi.Recv[[]int32](c, rank-1, chunk)
 				if err != nil {
 					return Summary{}, false, fmt.Errorf("align: rank %d chunk %d recv: %w", rank, chunk, err)
@@ -117,27 +126,30 @@ func pipelineRank(c *mpi.Comm, cfg Config, compute func(s *slab, cLo, cHi int)) 
 				if len(seg) != cHi-cLo {
 					return Summary{}, false, fmt.Errorf("align: rank %d chunk %d: got %d ghost cells, want %d", rank, chunk, len(seg), cHi-cLo)
 				}
-				copy(s.row(0)[cLo:cHi], seg)
+				copy(s.row(0)[1:], seg)
 			}
 			compute(s, cLo, cHi)
 			if rank < lastRank {
-				if err := mpi.Send(c, s.row(rows)[cLo:cHi], rank+1, chunk); err != nil {
+				// Send encodes a copy, so the window can slide on.
+				if err := mpi.Send(c, s.row(rows)[1:1+cHi-cLo], rank+1, chunk); err != nil {
 					return Summary{}, false, fmt.Errorf("align: rank %d chunk %d send: %w", rank, chunk, err)
 				}
 			}
+			// Hash and scan the tile while it is in cache; the first
+			// chunk's window column 0 is the matrix's column 0, which
+			// every row hash starts with.
+			hLo := cLo
+			if chunk == 0 {
+				hLo = 0
+			}
+			s.hashCols(myHashes, hLo, cHi)
+			if cfg.Local {
+				score = maxOp(score, s.localMax(hLo, cHi))
+			}
 		}
-	}
-
-	// Score: for global alignment only the corner's owner has it; for
-	// local alignment every rank's block max competes. Non-contributors
-	// offer NegInf, which any real cell beats.
-	score := int32(NegInf)
-	if cfg.Local {
-		if rows > 0 {
-			score = s.localMax()
+		if !cfg.Local && rank == lastRank {
+			score = s.at(rows, cfg.M)
 		}
-	} else if rank == lastRank {
-		score = s.at(rows, cfg.M)
 	}
 	score, err = mpi.Reduce(c, score, maxOp, root)
 	if err != nil {
@@ -147,10 +159,6 @@ func pipelineRank(c *mpi.Comm, cfg Config, compute func(s *slab, cLo, cHi int)) 
 	// Checksum: gather per-row hashes in rank order — Gather concatenates
 	// variable-length contributions, so zero-row ranks contribute nothing
 	// and the root sees rows 1..N in global order.
-	var myHashes []uint64
-	if rows > 0 {
-		myHashes = s.rowHashes()
-	}
 	hashes, err := mpi.Gather(c, myHashes, root)
 	if err != nil {
 		return Summary{}, false, err
@@ -163,7 +171,7 @@ func pipelineRank(c *mpi.Comm, cfg Config, compute func(s *slab, cLo, cHi int)) 
 		score = maxOp(score, boundaryRowMax(cfg))
 	}
 	all := make([]uint64, 0, len(hashes)+1)
-	all = append(all, RowHash(boundaryRow(cfg)))
+	all = append(all, RowHash(FNVOffset, boundaryRow(cfg)))
 	all = append(all, hashes...)
 	return Summary{
 		N: cfg.N, M: cfg.M, Band: cfg.Band,

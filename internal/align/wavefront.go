@@ -54,8 +54,8 @@ func Wavefront(cfg Config, nthreads int, opts ...omp.Option) (Summary, error) {
 		return Summary{}, err
 	}
 	a, b := Sequences(cfg)
-	s := newSlab(cfg, a, b, 1, cfg.N)
-	s.initGhostBoundary()
+	s := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
+	s.initGhostBoundary(0, cfg.M+1)
 	s.initCol0()
 
 	ompOpts := opts

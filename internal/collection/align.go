@@ -22,8 +22,10 @@ func init() {
 
 // alignParams is the shared parameter table: sequence length, band
 // width (0 = full matrix), and wavefront/pipeline block edge. The n cap
-// keeps the DP matrix (~(n+1)² int32 cells) around 16 MB so a served
-// run can't balloon the daemon.
+// keeps align.omp's DP matrix (~(n+1)² int32 cells) around 16 MB so a
+// served run can't balloon the daemon. align.mpi and align.hybrid never
+// hold the whole matrix: each rank keeps a column window of about
+// (n/np+1)·(block+1) cells.
 func alignParams() []core.Param {
 	return []core.Param{
 		{Name: "n", Doc: "sequence length (DP matrix is (n+1)^2 cells)", Default: 256, Min: 16, Max: 2048},

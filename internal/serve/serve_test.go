@@ -21,7 +21,7 @@ import (
 // tests drive: a fast one, a gated one (blocks until released), and a
 // context-aware taskloop whose per-iteration grain sets the poll
 // interval the timeout guarantee is stated against.
-func testRegistry(t *testing.T) (*core.Registry, *gate) {
+func testRegistry(t testing.TB) (*core.Registry, *gate) {
 	t.Helper()
 	r := core.NewRegistry()
 	g := &gate{ch: make(chan struct{})}
@@ -392,6 +392,46 @@ func TestHostileSizesRejectedBeforeAdmission(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tasks=nodes=MaxTasks: status %d, want 200", resp.StatusCode)
 	}
+}
+
+// FuzzRunBody posts arbitrary bytes to /run on a store-less single node.
+// No body may panic the server, and a body it does not admit
+// (serve.submitted unchanged) must be answered with a 4xx: only an
+// admitted run may end in a 5xx. The short timeouts keep an admitted
+// gated or loop run from stalling the fuzzer.
+func FuzzRunBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"key":"fast.omp","tasks":2}`,
+		`{"key":"sized.omp","params":{"n":7}}`,
+		`{"key":"sized.omp","params":{"m":8}}`,
+		`{"key":"fast.omp","toggles":{"nope":true}}`,
+		`{"key":"fast.omp","tasks":1000000,"nodes":-1}`,
+		`{"key":"fast.omp","distribute":true}`,
+		`{"key":"gated.omp","timeout_ms":1}`,
+		`{"key":"boom.omp","trace":true}`,
+		`{"key":"nope.omp"}`,
+		`{"key":""}`,
+		`{"key":7}`,
+		`{"key":"fast.omp"} trailing`,
+		`[]`,
+		`null`,
+		`{`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	reg, _ := testRegistry(f)
+	s := New(reg, WithTimeout(20*time.Millisecond), WithMaxTimeout(20*time.Millisecond))
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := s.Stats().Counters[ctrSubmitted]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+		if s.Stats().Counters[ctrSubmitted] == before && (rec.Code < 400 || rec.Code > 499) {
+			t.Fatalf("body %q was not admitted but got status %d: %s", body, rec.Code, rec.Body)
+		}
+	})
 }
 
 func TestCollectAndTraceEndpoint(t *testing.T) {
