@@ -30,12 +30,13 @@ race:
 
 # Run each fuzz target for 10s past its seed corpus (plain `go test`
 # only replays the seeds): the mpi wire codec, run-store replay, the
-# cluster frame reader and /run request bodies.
+# cluster frame reader, and /run and /worker request bodies.
 fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzWireCodecRoundTrip$$' -fuzztime=10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz='^FuzzStoreReplay$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz='^FuzzRunBody$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz='^FuzzWorkerBody$$' -fuzztime=10s ./internal/serve
 
 # Run the patternlet HTTP service with classroom defaults.
 serve:

@@ -34,6 +34,7 @@ package align
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Scoring constants — fixed, so a Summary is a pure function of Config.
@@ -158,28 +159,51 @@ func Sequences(cfg Config) (a, b []byte) {
 // keeps only its current column chunk plus the column to its left, and
 // slides the window right chunk by chunk.
 type slab struct {
-	vals   []int32 // (rows+1) * stride
-	stride int     // window width in columns
-	c0     int     // global column of window column 0
-	rows   int     // local compute rows (excluding the ghost row)
-	gLo    int     // global row index of local row 1
-	a      []byte  // characters for global rows gLo..gLo+rows-1 (local slice)
-	b      []byte  // full second sequence
-	cfg    Config  // normalized
+	vals    []int32   // (rows+1) * stride
+	stride  int       // window width in columns
+	c0      int       // global column of window column 0
+	rows    int       // local compute rows (excluding the ghost row)
+	gLo     int       // global row index of local row 1
+	letters []uint8   // alphabet index of the letter of a for each local row
+	prof    [4][]int8 // substitution profile of b: prof[x][j] scores alphabet[x] against b[j]
+	cfg     Config    // normalized
 }
 
 // newSlab allocates a window of cols columns, starting at global column
-// 0, over global rows gLo..gLo+rows-1.
-func newSlab(cfg Config, a, b []byte, gLo, rows, cols int) *slab {
-	return &slab{
-		vals:   make([]int32, (rows+1)*cols),
-		stride: cols,
-		rows:   rows,
-		gLo:    gLo,
-		a:      a,
-		b:      b,
-		cfg:    cfg.norm(),
+// 0, over global rows gLo..gLo+rows-1, whose letters a holds, and builds
+// b's substitution profile. The profile has a row only for the letters
+// of alphabet, so a byte of a outside it is refused here rather than
+// scored wrongly.
+func newSlab(cfg Config, a, b []byte, gLo, rows, cols int) (*slab, error) {
+	s := &slab{
+		vals:    make([]int32, (rows+1)*cols),
+		stride:  cols,
+		rows:    rows,
+		gLo:     gLo,
+		letters: make([]uint8, len(a)),
+		cfg:     cfg.norm(),
 	}
+	for i, c := range a {
+		x := strings.IndexByte(alphabet, c)
+		if x < 0 {
+			return nil, fmt.Errorf("align: row %d holds %q, not a letter of %s", gLo+i, c, alphabet)
+		}
+		s.letters[i] = uint8(x)
+	}
+	// Column j mismatches every letter but b[j] itself.
+	buf := make([]int8, len(alphabet)*len(b))
+	for i := range buf {
+		buf[i] = MismatchScore
+	}
+	for j, c := range b {
+		if x := strings.IndexByte(alphabet, c); x >= 0 {
+			buf[x*len(b)+j] = MatchScore
+		}
+	}
+	for x := range s.prof {
+		s.prof[x] = buf[x*len(b) : (x+1)*len(b)]
+	}
+	return s, nil
 }
 
 // at and set address global column j, which must lie in the window.
@@ -250,35 +274,108 @@ func (s *slab) initCol0() {
 // per block, the pipeline once per (rank, column chunk) tile — so a
 // score can never differ between drivers, only the order it was
 // computed in.
+//
+// Rows go two at a time (rowPair), an odd last row alone. The local
+// clamp is a floor every cell is maxed with: 0 for Smith-Waterman, and
+// for Needleman-Wunsch MinInt32, which is below every cell value.
 func (s *slab) computeCells(rLo, rHi, cLo, cHi int) {
-	band, local, c0 := s.cfg.Band, s.cfg.Local, s.c0
-	for r := rLo; r < rHi; r++ {
+	floor := int32(math.MinInt32)
+	if s.cfg.Local {
+		floor = 0
+	}
+	r := rLo
+	for ; r+1 < rHi; r += 2 {
+		s.rowPair(r, cLo, cHi, floor)
+	}
+	if r < rHi {
+		lo, hi := s.bandCols(r, cLo, cHi)
+		s.rowCells(r, lo, hi, floor)
+	}
+}
+
+// bandCols writes NegInf to the out-of-band cells of local row r in
+// global columns [cLo, cHi) and returns the row's in-band columns
+// [lo, hi) there, cLo <= lo <= hi <= cHi. Band 0 means the full matrix.
+func (s *slab) bandCols(r, cLo, cHi int) (lo, hi int) {
+	lo, hi = cLo, cHi
+	if band := s.cfg.Band; band > 0 {
 		gi := s.gLo + r - 1
-		ai := s.a[gi-s.gLo]
-		prev := s.row(r - 1)
-		cur := s.row(r)
-		for j := cLo; j < cHi; j++ {
-			k := j - c0
-			if !inBand(gi, j, band) {
-				cur[k] = NegInf
-				continue
-			}
-			sub := int32(MismatchScore)
-			if ai == s.b[j-1] {
-				sub = MatchScore
-			}
-			best := prev[k-1] + sub
-			if v := prev[k] + GapScore; v > best {
-				best = v
-			}
-			if v := cur[k-1] + GapScore; v > best {
-				best = v
-			}
-			if local && best < 0 {
-				best = 0
-			}
-			cur[k] = best
-		}
+		lo = min(max(gi-band, cLo), cHi)
+		hi = max(min(gi+band+1, cHi), lo)
+	}
+	row := s.row(r)
+	for k := cLo - s.c0; k < lo-s.c0; k++ {
+		row[k] = NegInf
+	}
+	for k := hi - s.c0; k < cHi-s.c0; k++ {
+		row[k] = NegInf
+	}
+	return lo, hi
+}
+
+// subs returns local row r's substitution scores for global columns
+// [lo, hi).
+func (s *slab) subs(r, lo, hi int) []int8 {
+	return s.prof[s.letters[r-1]][lo-1 : hi-1]
+}
+
+// rowCells computes local row r over global columns [lo, hi), all in
+// band.
+func (s *slab) rowCells(r, lo, hi int, floor int32) {
+	if lo >= hi {
+		return // the common case for rowPair's edge peels
+	}
+	k, kHi := lo-s.c0, hi-s.c0
+	north, out := s.row(r-1), s.row(r)
+	cellRow(out[k:kHi], north[k:kHi], s.subs(r, lo, hi), north[k-1], out[k-1], floor)
+}
+
+// rowPair computes local rows r and r+1 over global columns [cLo, cHi).
+// A band's edges move one column right per row, so row r+1's in-band
+// columns [lo1, hi1) start and end no earlier than row r's [lo0, hi0).
+// Row r's cells left of lo1 go first, then the columns both rows have
+// in band go through cellRowPair, then row r+1's cells right of hi0.
+// If the two ranges do not overlap, that is row r and then row r+1.
+func (s *slab) rowPair(r, cLo, cHi int, floor int32) {
+	lo0, hi0 := s.bandCols(r, cLo, cHi)
+	lo1, hi1 := s.bandCols(r+1, cLo, cHi)
+	mid := min(lo1, hi0)
+	s.rowCells(r, lo0, mid, floor)
+	k, kHi := mid-s.c0, hi0-s.c0
+	north, out0, out1 := s.row(r-1), s.row(r), s.row(r+1)
+	cellRowPair(out0[k:kHi], out1[k:kHi], north[k:kHi], s.subs(r, mid, hi0), s.subs(r+1, mid, hi0),
+		north[k-1], out0[k-1], out1[k-1], floor)
+	s.rowCells(r+1, max(lo1, hi0), hi1, floor)
+}
+
+// cellRow is the kernel's inner loop over one row: out[i] is the cell
+// below north[i] with substitution score sub[i], and diag and west are
+// out[0]'s northwest and west neighbours. The max over diagonal, north
+// and floor does not depend on the previous cell, so the chain from one
+// cell to the next is one add and one max.
+func cellRow(out, north []int32, sub []int8, diag, west, floor int32) {
+	north, sub = north[:len(out)], sub[:len(out)]
+	for i, n := range north {
+		v := max(diag+int32(sub[i]), n+GapScore, floor)
+		v = max(v, west+GapScore)
+		out[i] = v
+		diag, west = n, v
+	}
+}
+
+// cellRowPair is cellRow over two rows at once. Row 1's north neighbour
+// is row 0's cell just computed and its northwest neighbour row 0's
+// previous cell, so the two rows' chains run side by side.
+func cellRowPair(out0, out1, north []int32, sub0, sub1 []int8, diag0, west0, west1, floor int32) {
+	out1, north = out1[:len(out0)], north[:len(out0)]
+	sub0, sub1 = sub0[:len(out0)], sub1[:len(out0)]
+	for i, n := range north {
+		v0 := max(diag0+int32(sub0[i]), n+GapScore, floor)
+		v0 = max(v0, west0+GapScore)
+		v1 := max(west0+int32(sub1[i]), v0+GapScore, floor)
+		v1 = max(v1, west1+GapScore)
+		out0[i], out1[i] = v0, v1
+		diag0, west0, west1 = n, v0, v1
 	}
 }
 
@@ -319,18 +416,15 @@ func FoldHashes(hashes []uint64) uint64 {
 	return h
 }
 
-// localMax returns the largest in-band cell of local rows [1, rows] ×
-// global columns [lo, hi) — this window's Smith-Waterman score
-// contribution.
+// localMax returns the largest cell of local rows [1, rows] × global
+// columns [lo, hi) — this window's Smith-Waterman score contribution.
+// Out-of-band cells hold NegInf and in-band local cells are >= 0, so
+// this is the largest in-band cell, or NegInf if there is none.
 func (s *slab) localMax(lo, hi int) int32 {
 	best := int32(NegInf)
 	for r := 1; r <= s.rows; r++ {
-		gi := s.gLo + r - 1
-		row := s.row(r)
-		for j := lo; j < hi; j++ {
-			if v := row[j-s.c0]; v > best && inBand(gi, j, s.cfg.Band) {
-				best = v
-			}
+		for _, v := range s.row(r)[lo-s.c0 : hi-s.c0] {
+			best = max(best, v)
 		}
 	}
 	return best
@@ -445,7 +539,10 @@ func Serial(cfg Config) (Summary, error) {
 		return Summary{}, err
 	}
 	a, b := Sequences(cfg)
-	s := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
+	s, err := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
+	if err != nil {
+		return Summary{}, err
+	}
 	s.initGhostBoundary(0, cfg.M+1)
 	s.initCol0()
 	s.computeCells(1, cfg.N+1, 1, cfg.M+1)

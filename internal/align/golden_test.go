@@ -67,7 +67,7 @@ func TestRowHashesMatchRowHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for rows := 1; rows <= 9; rows++ {
 		for _, m := range []int{1, 7, 64} {
-			s := newSlab(Config{N: rows, M: m}, nil, nil, 1, rows, m+1)
+			s := mustSlab(t, Config{N: rows, M: m}, nil, nil, 1, rows, m+1)
 			for i := range s.vals {
 				switch rng.Intn(4) {
 				case 0:
@@ -114,7 +114,7 @@ func TestPipelineBytesPerRun(t *testing.T) {
 // two served sizes.
 func BenchmarkRowHashes(b *testing.B) {
 	for _, n := range []int{256, 512} {
-		s := newSlab(Config{N: n}, nil, nil, 1, n, n+1)
+		s := mustSlab(b, Config{N: n}, nil, nil, 1, n, n+1)
 		for i := range s.vals {
 			s.vals[i] = int32(i * 2654435761)
 		}
@@ -134,6 +134,24 @@ func BenchmarkRowHashes(b *testing.B) {
 				s.hashCols(h, 0, s.stride)
 				sinkHash ^= h[0]
 			}
+		})
+	}
+}
+
+// BenchmarkComputeCells times the kernel alone over a whole n×n matrix,
+// Serial's one call, at the align-large request size and twice it.
+func BenchmarkComputeCells(b *testing.B) {
+	for _, n := range []int{512, 1024} {
+		cfg := Config{N: n, Seed: 1}
+		a, bs := Sequences(cfg)
+		s := mustSlab(b, cfg, a, bs, 1, n, n+1)
+		s.initGhostBoundary(0, n+1)
+		s.initCol0()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.computeCells(1, n+1, 1, n+1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(n*n)), "ns/cell")
 		})
 	}
 }

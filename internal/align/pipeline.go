@@ -103,7 +103,10 @@ func pipelineRank(c *mpi.Comm, cfg Config, compute func(s *slab, cLo, cHi int)) 
 		// The rank keeps one column chunk of its rows plus the column to
 		// the chunk's left (its first column's west and northwest
 		// neighbours), not the whole row block.
-		s := newSlab(cfg, myA[:rows], b, gLo, rows, min(cfg.Block, cfg.M)+1)
+		s, err := newSlab(cfg, myA[:rows], b, gLo, rows, min(cfg.Block, cfg.M)+1)
+		if err != nil {
+			return Summary{}, false, err
+		}
 		// Ghost columns arrive chunk by chunk from the predecessor (or
 		// from the boundary formula on the first rank); column 0 is
 		// never part of a chunk.

@@ -54,7 +54,10 @@ func Wavefront(cfg Config, nthreads int, opts ...omp.Option) (Summary, error) {
 		return Summary{}, err
 	}
 	a, b := Sequences(cfg)
-	s := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
+	s, err := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
+	if err != nil {
+		return Summary{}, err
+	}
 	s.initGhostBoundary(0, cfg.M+1)
 	s.initCol0()
 

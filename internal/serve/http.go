@@ -132,16 +132,21 @@ const (
 // and reports whether v holds the request.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooBig):
-		httpError(w, http.StatusRequestEntityTooLarge, "%s over %d bytes", what, maxBodyBytes)
-	default:
-		httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	if err != nil {
+		bodyError(w, what, err)
 	}
-	return false
+	return err == nil
+}
+
+// bodyError answers a body that could not be read or was refused: 413
+// past maxBodyBytes, 400 otherwise.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "%s over %d bytes", what, maxBodyBytes)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
 }
 
 // httpError is the uniform JSON error body.
@@ -190,8 +195,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "distribute requires cluster mode (start patternletd with -node-id and -peers)")
 			return
 		}
-		if p.Model != core.MPI && p.Model != core.Hybrid {
-			httpError(w, http.StatusBadRequest, "distribute: %q is a %s patternlet; worlds span only MPI and MPI+OpenMP programs", p.Key(), p.Model)
+		if err := checkSpans(p); err != nil {
+			httpError(w, http.StatusBadRequest, "distribute: %v", err)
 			return
 		}
 	}
@@ -275,15 +280,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleWorker hosts one rank of a peer-launched world in this process.
 // It is cluster-internal: the rank bypasses admission because the world
-// it belongs to already holds an admitted job at its owner.
+// it belongs to already holds an admitted job at its owner. The body is
+// checked in full before the rank listens or dials anything.
 func (s *Server) handleWorker(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var wreq WorkerRequest
-	if !decodeBody(w, r, "worker body", &wreq) {
-		return
+	if err == nil {
+		wreq, err = s.parseWorkerBody(body)
 	}
-	if wreq.Key == "" || wreq.NP < 1 || wreq.Rank < 0 || wreq.Rank >= wreq.NP || wreq.Rendezvous == "" {
-		httpError(w, http.StatusBadRequest, "bad worker request: key=%q rank=%d np=%d rendezvous=%q",
-			wreq.Key, wreq.Rank, wreq.NP, wreq.Rendezvous)
+	if err != nil {
+		bodyError(w, "worker body", err)
 		return
 	}
 	out := s.sharded.hostWorker(r.Context(), wreq)
@@ -292,6 +298,39 @@ func (s *Server) handleWorker(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}
 	json.NewEncoder(w).Encode(out)
+}
+
+// parseWorkerBody decodes a /worker body and checks it as /run checks a
+// request: a known MPI or MPI+OpenMP patternlet, np in [1, MaxTasks] and
+// at least the patternlet's minimum, rank in [0, np), a rendezvous
+// address, and only declared params and toggles.
+func (s *Server) parseWorkerBody(body []byte) (WorkerRequest, error) {
+	var wreq WorkerRequest
+	if err := json.Unmarshal(body, &wreq); err != nil {
+		return WorkerRequest{}, err
+	}
+	p, ok := s.reg.Get(wreq.Key)
+	if !ok {
+		return WorkerRequest{}, fmt.Errorf("no patternlet %q", wreq.Key)
+	}
+	if err := checkSpans(p); err != nil {
+		return WorkerRequest{}, err
+	}
+	if wreq.Rank < 0 || wreq.Rank >= wreq.NP || wreq.Rendezvous == "" {
+		return WorkerRequest{}, fmt.Errorf("rank=%d np=%d rendezvous=%q", wreq.Rank, wreq.NP, wreq.Rendezvous)
+	}
+	if _, err := p.CheckOptions(core.RunOptions{NumTasks: wreq.NP, Toggles: wreq.Toggles, Params: wreq.Params}); err != nil {
+		return WorkerRequest{}, err
+	}
+	return wreq, nil
+}
+
+// checkSpans refuses a patternlet whose world cannot span daemons.
+func checkSpans(p *core.Patternlet) error {
+	if p.Model != core.MPI && p.Model != core.Hybrid {
+		return fmt.Errorf("%q is a %s patternlet; worlds span only MPI and MPI+OpenMP programs", p.Key(), p.Model)
+	}
+	return nil
 }
 
 func retryAfterSeconds(d time.Duration) int {

@@ -20,7 +20,7 @@ import (
 // clusterRegistry builds one node's registry for the cluster tests:
 // many fast keys (so membership changes have a population to move), a
 // gated key for saturation, and an MPI hello for world-spanning runs.
-func clusterRegistry(t *testing.T) (*core.Registry, *gate) {
+func clusterRegistry(t testing.TB) (*core.Registry, *gate) {
 	t.Helper()
 	r := core.NewRegistry()
 	g := &gate{ch: make(chan struct{})}
@@ -456,6 +456,75 @@ func TestDistributedWorldSpansMembers(t *testing.T) {
 	if hosted == 0 {
 		t.Fatal("no peer hosted a rank; world did not span the cluster")
 	}
+}
+
+// A /worker body is refused with 400 before the rank listens or dials:
+// serve.worker.ranks does not move.
+func TestWorkerBodyRefusedBeforeHosting(t *testing.T) {
+	node := startCluster(t, 1)[0]
+	for _, body := range []string{
+		`{"key":"hello.mpi","rank":0,"np":1000000000,"rendezvous":"127.0.0.1:1"}`,
+		`{"key":"nope.mpi","rank":0,"np":2,"rendezvous":"127.0.0.1:1"}`,
+		`{"key":"hello.mpi","rank":0,"np":2,"rendezvous":"127.0.0.1:1","params":{"n":4}}`,
+		`{"key":"hello.mpi","rank":0,"np":2,"rendezvous":"127.0.0.1:1","toggles":{"nope":true}}`,
+		`{"key":"hello.mpi","rank":2,"np":2,"rendezvous":"127.0.0.1:1"}`,
+		`{"key":"hello.mpi","rank":0,"np":2}`,
+		`{"key":"fast1.omp","rank":0,"np":2,"rendezvous":"127.0.0.1:1"}`,
+		`{"key":"hello.mpi"} trailing`,
+	} {
+		resp, err := http.Post(node.url()+"/worker", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if got := node.srv.Stats().Counters[ctrWorkerRanks]; got != 0 {
+		t.Fatalf("serve.worker.ranks = %d after refused bodies, want 0", got)
+	}
+}
+
+// FuzzWorkerBody feeds arbitrary bytes to parseWorkerBody. No body may
+// panic it, and a body it accepts must encode to JSON that it accepts
+// again and that encodes the same.
+func FuzzWorkerBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"key":"hello.mpi","rank":1,"np":4,"rendezvous":"127.0.0.1:9","seed":7,"timeout_ms":50}`,
+		`{"key":"hello.mpi","rank":0,"np":1000000000,"rendezvous":"127.0.0.1:9"}`,
+		`{"key":"hello.mpi","rank":0,"np":2,"rendezvous":"x","params":{"n":4}}`,
+		`{"key":"hello.mpi","rank":0,"np":2,"rendezvous":"x","toggles":{}}`,
+		`{"key":"nope.mpi","rank":0,"np":2,"rendezvous":"x"}`,
+		`{"key":"fast1.omp","rank":0,"np":2,"rendezvous":"x"}`,
+		`{"key":"hello.mpi","rank":-1,"np":0}`,
+		`{"key":7}`,
+		`null`,
+		`{`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	reg, _ := clusterRegistry(f)
+	s := New(reg)
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		wreq, err := s.parseWorkerBody(body)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(wreq)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", body, err)
+		}
+		again, err := s.parseWorkerBody(enc)
+		if err != nil {
+			t.Fatalf("accepted %q but refused its encoding %s: %v", body, enc, err)
+		}
+		if enc2, _ := json.Marshal(again); string(enc2) != string(enc) {
+			t.Fatalf("accepted %q: encoding %s decodes and re-encodes as %s", body, enc, enc2)
+		}
+	})
 }
 
 // distribute on a non-MPI patternlet or a single-node server is a 400,
