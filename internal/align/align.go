@@ -387,31 +387,31 @@ const FNVOffset = 14695981039346656037
 // fnvPrime is the FNV-1a 64 multiplier.
 const fnvPrime = 1099511628211
 
-// RowHash continues the FNV-1a hash h over a row's cells (little-endian
-// cell bytes); start a row at FNVOffset. Ranks hash their own rows; the
-// root folds the hashes in global row order, so the combined checksum is
-// position-sensitive without any rank needing another rank's cells.
-// FNV-1a is byte-serial, so a row hashed in column pieces, each piece
-// continuing from the last one's state, hashes the same as the whole.
+// RowHash continues the FNV-1a hash h over a row's cells, one 32-bit
+// word per step; start a row at FNVOffset. Ranks hash their own rows;
+// the root folds the hashes in global row order, so the combined
+// checksum is position-sensitive without any rank needing another
+// rank's cells. Each step is serial in h, so a row hashed in column
+// pieces, each piece continuing from the last one's state, hashes the
+// same as the whole.
+//
+// This is checksum format v2 (DESIGN §13.2), one multiply per cell. A
+// step h ↦ (h ^ w) · fnvPrime is injective in the word w for a fixed h
+// and, the multiplier being odd, a bijection of h for a fixed w; so two
+// matrices that differ in any one cell always get different checksums.
 func RowHash(h uint64, row []int32) uint64 {
 	for _, v := range row {
-		u := uint32(v)
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(u >> shift))
-			h *= fnvPrime
-		}
+		h = (h ^ uint64(uint32(v))) * fnvPrime
 	}
 	return h
 }
 
-// FoldHashes combines per-row hashes in order into the matrix checksum.
+// FoldHashes combines per-row hashes in order into the matrix checksum,
+// one whole uint64 row hash per FNV-1a step, by the same rule as RowHash.
 func FoldHashes(hashes []uint64) uint64 {
 	h := uint64(FNVOffset)
 	for _, rh := range hashes {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(byte(rh >> shift))
-			h *= fnvPrime
-		}
+		h = (h ^ rh) * fnvPrime
 	}
 	return h
 }
@@ -464,23 +464,10 @@ func newRowHashes(rows int) []uint64 {
 func rowHash4(h0, h1, h2, h3 uint64, r0, r1, r2, r3 []int32) (uint64, uint64, uint64, uint64) {
 	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)] // one length: no bounds checks in the loop
 	for j, v := range r0 {
-		u0, u1, u2, u3 := uint64(uint32(v)), uint64(uint32(r1[j])), uint64(uint32(r2[j])), uint64(uint32(r3[j]))
-		h0 = (h0 ^ u0&0xff) * fnvPrime
-		h1 = (h1 ^ u1&0xff) * fnvPrime
-		h2 = (h2 ^ u2&0xff) * fnvPrime
-		h3 = (h3 ^ u3&0xff) * fnvPrime
-		h0 = (h0 ^ u0>>8&0xff) * fnvPrime
-		h1 = (h1 ^ u1>>8&0xff) * fnvPrime
-		h2 = (h2 ^ u2>>8&0xff) * fnvPrime
-		h3 = (h3 ^ u3>>8&0xff) * fnvPrime
-		h0 = (h0 ^ u0>>16&0xff) * fnvPrime
-		h1 = (h1 ^ u1>>16&0xff) * fnvPrime
-		h2 = (h2 ^ u2>>16&0xff) * fnvPrime
-		h3 = (h3 ^ u3>>16&0xff) * fnvPrime
-		h0 = (h0 ^ u0>>24) * fnvPrime
-		h1 = (h1 ^ u1>>24) * fnvPrime
-		h2 = (h2 ^ u2>>24) * fnvPrime
-		h3 = (h3 ^ u3>>24) * fnvPrime
+		h0 = (h0 ^ uint64(uint32(v))) * fnvPrime
+		h1 = (h1 ^ uint64(uint32(r1[j]))) * fnvPrime
+		h2 = (h2 ^ uint64(uint32(r2[j]))) * fnvPrime
+		h3 = (h3 ^ uint64(uint32(r3[j]))) * fnvPrime
 	}
 	return h0, h1, h2, h3
 }
@@ -534,17 +521,26 @@ func boundaryRowMax(cfg Config) int32 {
 // Serial computes the alignment with one goroutine in row order — the
 // oracle every parallel driver is pinned against.
 func Serial(cfg Config) (Summary, error) {
+	s, err := serialSlab(cfg)
+	if err != nil {
+		return Summary{}, err
+	}
+	return s.summarize(), nil
+}
+
+// serialSlab computes Serial's whole matrix, boundary row 0 included.
+func serialSlab(cfg Config) (*slab, error) {
 	cfg = cfg.norm()
 	if err := cfg.Validate(); err != nil {
-		return Summary{}, err
+		return nil, err
 	}
 	a, b := Sequences(cfg)
 	s, err := newSlab(cfg, a, b, 1, cfg.N, cfg.M+1)
 	if err != nil {
-		return Summary{}, err
+		return nil, err
 	}
 	s.initGhostBoundary(0, cfg.M+1)
 	s.initCol0()
 	s.computeCells(1, cfg.N+1, 1, cfg.M+1)
-	return s.summarize(), nil
+	return s, nil
 }

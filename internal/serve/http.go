@@ -128,10 +128,15 @@ const (
 )
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
-// It answers 413 past the limit and 400 for a body that does not decode,
-// and reports whether v holds the request.
+// The body must be exactly one JSON value: json.Unmarshal refuses
+// trailing bytes, as /worker does. It answers 413 past the limit and 400
+// for a body that does not decode, and reports whether v holds the
+// request.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
 	if err != nil {
 		bodyError(w, what, err)
 	}

@@ -360,7 +360,8 @@ func TestRunEndpointStatuses(t *testing.T) {
 }
 
 // Absurd task and node counts are rejected with 400 by the same
-// core.CheckOptions bound Registry.Run applies, before admission: the
+// core.CheckOptions bound Registry.Run applies, before admission, and so
+// are bytes after the body's JSON value (as /worker refuses them): the
 // hostile bodies never take a queue slot, so serve.submitted does not
 // move.
 func TestHostileSizesRejectedBeforeAdmission(t *testing.T) {
@@ -375,6 +376,8 @@ func TestHostileSizesRejectedBeforeAdmission(t *testing.T) {
 		`{"key":"fast.omp","nodes":1000000000}`,
 		`{"key":"fast.omp","nodes":-1}`,
 		fmt.Sprintf(`{"key":"fast.omp","tasks":%d}`, core.MaxTasks+1),
+		`{"key":"fast.omp"} trailing garbage`,
+		`{"key":"fast.omp"}{"key":"fast.omp"}`,
 	} {
 		resp := post(t, ts, body)
 		raw, _ := io.ReadAll(resp.Body)
@@ -386,8 +389,9 @@ func TestHostileSizesRejectedBeforeAdmission(t *testing.T) {
 	if got := s.Stats().Counters[ctrSubmitted]; got != 0 {
 		t.Fatalf("serve.submitted = %d after hostile bodies, want 0", got)
 	}
-	// The bound itself is inclusive.
-	resp := post(t, ts, fmt.Sprintf(`{"key":"fast.omp","tasks":%d,"nodes":%d}`, core.MaxTasks, core.MaxTasks))
+	// The bound itself is inclusive, and trailing whitespace is no
+	// trailing value.
+	resp := post(t, ts, fmt.Sprintf("{\"key\":\"fast.omp\",\"tasks\":%d,\"nodes\":%d}\n", core.MaxTasks, core.MaxTasks))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tasks=nodes=MaxTasks: status %d, want 200", resp.StatusCode)
@@ -413,6 +417,7 @@ func FuzzRunBody(f *testing.F) {
 		`{"key":""}`,
 		`{"key":7}`,
 		`{"key":"fast.omp"} trailing`,
+		`{"key":"fast.omp"} trailing garbage`,
 		`[]`,
 		`null`,
 		`{`,

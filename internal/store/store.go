@@ -93,11 +93,14 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 // an omitted param and its declared default, the same cache entry. The
 // preimage is a versioned, newline-framed string, so no field
 // concatenation can collide with another; patternlets with no declared
-// params contribute no param lines, so their preimages — and every
-// already-stored digest — are unchanged from before params existed.
+// params contribute no param lines. The version line also stands for
+// the patternlets' output formats: it moves whenever one changes, so a
+// store written before the change never serves a transcript in the old
+// format and each configuration it holds re-executes once. v2 came with
+// the align.* checksum's format v2.
 func ResultDigest(catalog, key string, tasks int, directives []core.DirectiveState, params []core.ParamState, seed int64, tcp bool, nodes int) Digest {
 	var b strings.Builder
-	b.WriteString("patternlet-run/v1\n")
+	b.WriteString("patternlet-run/v2\n")
 	fmt.Fprintf(&b, "catalog=%s\nkey=%s\ntasks=%d\nseed=%d\ntcp=%t\nnodes=%d\n",
 		catalog, key, tasks, seed, tcp, nodes)
 	for _, d := range directives {

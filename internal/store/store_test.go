@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -803,12 +804,16 @@ func TestDigestCanonicalization(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	// Params canonicalization: nil and empty resolve identically, and —
-	// the store's backward-compatibility pin — a param-less preimage is
-	// byte-for-byte what it was before params existed, so every digest
-	// minted by earlier versions still addresses the same record.
+	// Params canonicalization: nil and empty resolve identically, and a
+	// param-less preimage has no param lines.
 	if ResultDigest("cat", "k", 4, dirs, []core.ParamState{}, 42, false, 1) != a {
 		t.Fatal("empty param set changed the digest")
+	}
+	// The preimage, pinned literally. Its version line moves with any
+	// change of a patternlet's output format, so a store written before
+	// the change never serves a transcript in the old format.
+	if want := sha256.Sum256([]byte("patternlet-run/v2\ncatalog=cat\nkey=k\ntasks=4\nseed=42\ntcp=false\nnodes=1\ntoggle omp=true\ntoggle verbose=false\n")); a != want {
+		t.Fatalf("digest %s, want the SHA-256 of the v2 preimage", a)
 	}
 
 	// CRC framing sanity: the table is Castagnoli, not IEEE.
