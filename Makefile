@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz serve serve-smoke cluster-smoke load-smoke bench bench-json figures study lab examples catalog clean
+.PHONY: all build vet test race stress-omp fuzz serve serve-smoke cluster-smoke load-smoke bench bench-json figures study lab examples catalog clean
 
 all: build vet test
 
@@ -27,6 +27,12 @@ test: vet
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Repeat the omp scheduler's lost-wakeup regression test (about 3s of
+# wavefront-shaped regions per run) twenty times; a hung region crashes
+# the test with every goroutine's stack.
+stress-omp:
+	$(GO) test -run '^TestParkedThreadsNeverLoseAWakeup$$' -count=20 ./internal/omp
 
 # Run each fuzz target for 10s past its seed corpus (plain `go test`
 # only replays the seeds): the mpi wire codec, run-store replay, the

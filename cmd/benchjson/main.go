@@ -7,10 +7,11 @@
 //	go run ./cmd/benchjson -label tuned         # ... BENCH_<date>_tuned.json
 //	go run ./cmd/benchjson -compare A.json B.json
 //
-// The run mode shells out to `go test -bench` on the repository root (the
-// per-figure benchmark harness in bench_test.go) with -benchmem, then
-// parses the standard benchmark output format, including custom
-// b.ReportMetric metrics such as model-speedup.
+// The run mode builds the repository root's test binary (the per-figure
+// benchmark harness in bench_test.go) with `go test -c`, runs its
+// benchmarks with -benchmem under a fixed time bound, then parses the
+// standard benchmark output format, including custom b.ReportMetric
+// metrics such as model-speedup.
 package main
 
 import (
@@ -19,9 +20,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"repro/internal/benchfmt"
 	"repro/internal/collection"
@@ -112,7 +116,9 @@ func main() {
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json files instead of running")
 	flag.Parse()
 
+	name := *bench
 	if *bench == "" {
+		name = *suite
 		re, ok := suites[*suite]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (have %s)\n", *suite, suiteNames())
@@ -138,7 +144,7 @@ func main() {
 		return
 	}
 
-	f, err := run(*bench, *benchtime, *count, *label)
+	f, err := run(name, *bench, *benchtime, *count, *label)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -154,14 +160,44 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(f.Results))
 }
 
-func run(bench, benchtime string, count int, label string) (*File, error) {
-	args := []string{"test", "-run", "^$", "-bench", bench,
-		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count), "."}
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	outBytes, err := cmd.Output()
+// benchBound caps one suite's benchmark run. go test -timeout stops its
+// alarm before benchmarks start, so without a bound of its own a hung
+// benchmark would stall the recording forever.
+const benchBound = 30 * time.Minute
+
+// run records the benchmarks matching bench; name (the suite, or the
+// -bench regex) identifies the run in errors.
+func run(name, bench, benchtime string, count int, label string) (*File, error) {
+	dir, err := os.MkdirTemp("", "benchjson")
 	if err != nil {
-		return nil, fmt.Errorf("go %s: %w\n%s", strings.Join(args, " "), err, outBytes)
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	bin := filepath.Join(dir, "bench.test")
+	build := exec.Command("go", "test", "-c", "-o", bin, ".")
+	build.Stdout, build.Stderr = os.Stderr, os.Stderr
+	if err := build.Run(); err != nil {
+		return nil, fmt.Errorf("go test -c: %w", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), benchBound)
+	defer cancel()
+	args := []string{"-test.run", "^$", "-test.bench", bench, "-test.benchmem",
+		"-test.benchtime", benchtime, "-test.count", strconv.Itoa(count)}
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Stderr = os.Stderr
+	// Past the bound, SIGQUIT makes the test binary print every
+	// goroutine's stack (to stderr) before it exits; WaitDelay kills it
+	// if it does not.
+	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGQUIT) }
+	cmd.WaitDelay = 30 * time.Second
+	outBytes, err := cmd.Output()
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("suite %s still running after %v; stopped with SIGQUIT (goroutine dump above)\n%s",
+			name, benchBound, outBytes)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("suite %s: %s %s: %w\n%s", name, bin, strings.Join(args, " "), err, outBytes)
 	}
 	f := benchfmt.NewFile(label, bench, benchtime)
 	f.Results = parse(string(outBytes), f)

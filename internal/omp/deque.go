@@ -95,7 +95,13 @@ type taskDeque struct {
 	ran    int64
 	stole  int64
 
-	_ [24]byte // keep adjacent deques off each other's cache lines
+	// Park slot (sched.go's idle protocol): the owner raises parked before
+	// it registers as idle; the waker whose CAS lowers it sends the one
+	// token park may hold.
+	parked atomic.Bool
+	park   chan struct{}
+
+	_ [16]byte // keep adjacent deques off each other's cache lines
 }
 
 // push appends a task at the bottom. Owner only.
@@ -295,4 +301,7 @@ func (d *taskDeque) reset() {
 	d.pushed = 0
 	d.ran = 0
 	d.stole = 0
+	if d.park == nil {
+		d.park = make(chan struct{}, 1)
+	}
 }

@@ -17,8 +17,8 @@ import (
 //   - Submission (Thread.Task, TaskGroup.Task, Taskloop) pushes onto the
 //     submitting thread's own deque: no shared lock, no wakeup broadcast.
 //     If some team member is idle (nidle > 0) the push publishes
-//     immediately and drops one wake token; otherwise it doesn't even
-//     pay the atomic store every time (deque.go's deferred publication).
+//     immediately and unparks one idler; otherwise it doesn't even pay
+//     the atomic store every time (deque.go's deferred publication).
 //
 //   - Draining (TaskWait, TaskGroup.Wait, region end) runs the caller's
 //     own deque first — wholesale, a claimed batch at a time — then
@@ -27,14 +27,16 @@ import (
 //
 //   - Idling. A waiter with no runnable work anywhere spins through a
 //     few sweeps (yielding the processor between them, same shape as the
-//     join spin in omp.go), then parks on the wake channel after
-//     registering in nidle. Wakeups are tokens, not broadcasts: a push
-//     or a completion that might unblock a waiter sends at most one
-//     token per idler, and a spuriously woken waiter just re-scans and
-//     re-parks. The nidle registration happens *before* the final
-//     re-scan, and a publisher checks nidle *after* its push is visible,
-//     so (both operations being seq-cst) at least one side always sees
-//     the other — a task cannot sit published while every thread sleeps.
+//     join spin in omp.go), then parks in its deque's park slot: raise
+//     the parked flag, register in nidle, re-scan, block on the slot's
+//     cap-1 channel. Only the waker whose CAS lowers a flag sends, so a
+//     token reaches only the thread that parked for it. A push unparks
+//     one idler, a completion that may unblock a waiter unparks all, and
+//     a spuriously woken waiter just re-scans and re-parks. The nidle
+//     registration happens *before* the final re-scan, and a publisher
+//     checks nidle *after* its push is visible, so (both operations
+//     being seq-cst) at least one side always sees the other — a task
+//     cannot sit published while every thread sleeps.
 //
 //   - Termination. There is no global in-flight counter on the fast
 //     path. Completion tracking is per waitNode (taskgroup.go), and
@@ -55,20 +57,12 @@ type taskScheduler struct {
 	deques []taskDeque
 	size   int                  // active deques this region (== team size)
 	nidle  atomic.Int32         // team members currently parked or about to park
-	wake   chan struct{}        // idle-wakeup tokens; buffered to team size
 	stats  telemetry.CounterSet // the counter view TaskStats reads; see Thread.TaskStats
 }
 
 func newTaskScheduler(size int) *taskScheduler {
-	c := size
-	if c < 8 {
-		c = 8
-	}
-	s := &taskScheduler{
-		deques: make([]taskDeque, size, c),
-		size:   size,
-		wake:   make(chan struct{}, c),
-	}
+	s := &taskScheduler{deques: make([]taskDeque, 0, max(size, 8))}
+	s.reset(size)
 	return s
 }
 
@@ -83,21 +77,11 @@ func (s *taskScheduler) reset(size int) {
 	}
 	s.size = size
 	s.nidle.Store(0)
-	if cap(s.wake) < size {
-		s.wake = make(chan struct{}, size)
-	}
-	for {
-		select { // drop stale tokens from the previous region
-		case <-s.wake:
-		default:
-			return
-		}
-	}
 }
 
 // submit pushes tk onto thread id's deque and keeps the idle protocol
 // honest: if anyone is parked (or about to park), the push is published
-// immediately and one wake token is dropped; otherwise publication is
+// immediately and one idler is unparked; otherwise publication is
 // batched (deque.go).
 func (s *taskScheduler) submit(id int, tk task) {
 	d := &s.deques[id]
@@ -122,25 +106,41 @@ func (s *taskScheduler) flush(id int) {
 	}
 }
 
-// wakeOne drops one token; if the buffer is full every idler already has
-// a pending token and nobody can be lost.
+// unpark hands d's owner a wake token if it is parked. Only the CAS
+// winner sends, and the owner raises its flag again only after taking
+// the previous token, so the cap-1 channel never blocks the sender.
+func unpark(d *taskDeque) bool {
+	if d.parked.Load() && d.parked.CompareAndSwap(true, false) {
+		d.park <- struct{}{}
+		return true
+	}
+	return false
+}
+
+// wakeOne unparks the first parked member — enough for one new task. A
+// member registered in nidle without a raised flag is already awake and
+// re-scans before it parks again.
 func (s *taskScheduler) wakeOne() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	for i := range s.deques[:s.size] {
+		if unpark(&s.deques[i]) {
+			return
+		}
 	}
 }
 
-// wakeIdle gives every currently-registered idler a token — called when
-// a waitNode hits zero, since any of the parked threads may be the one
-// waiting on that node.
+// wakeIdle unparks every parked member — called when a waitNode hits
+// zero, since any of them may be the one waiting on that node.
 func (s *taskScheduler) wakeIdle() {
-	for n := s.nidle.Load(); n > 0; n-- {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-			return
-		}
+	for i := range s.deques[:s.size] {
+		unpark(&s.deques[i])
+	}
+}
+
+// settle retires one unit of nd's outstanding count, waking the idlers
+// on the transition to zero.
+func (s *taskScheduler) settle(nd *waitNode) {
+	if nd.state.Add(-1) == 0 && s.nidle.Load() > 0 {
+		s.wakeIdle()
 	}
 }
 
@@ -153,9 +153,7 @@ func (s *taskScheduler) run(t *Thread, tk task, stolen bool) {
 		// accounting, so taskwaits and taskgroups parked on this task's
 		// node unblock instead of waiting for work that will never run.
 		if tk.counted || stolen {
-			if tk.node.state.Add(-1) == 0 && s.nidle.Load() > 0 {
-				s.wakeIdle()
-			}
+			s.settle(tk.node)
 		}
 		return
 	}
@@ -182,19 +180,7 @@ func (s *taskScheduler) run(t *Thread, tk task, stolen bool) {
 		tk.exec(t)
 	}
 	if tk.counted || stolen {
-		if tk.node.state.Add(-1) == 0 && s.nidle.Load() > 0 {
-			s.wakeIdle()
-		}
-	}
-}
-
-// settleUndo reverses a thief's speculative node increment after a lost
-// steal race. The owner ran the task itself (uncounted self-pops carry
-// no decrement), so the undo may be the transition to zero a parked
-// waiter is blocked on — wake as a completion would.
-func (s *taskScheduler) settleUndo(nd *waitNode) {
-	if nd.state.Add(-1) == 0 && s.nidle.Load() > 0 {
-		s.wakeIdle()
+		s.settle(tk.node)
 	}
 }
 
@@ -258,7 +244,7 @@ func (s *taskScheduler) stealOnce(t *Thread) bool {
 		// race steal hands back the node to settle here.
 		tk, ok, undo := d.steal()
 		if undo != nil {
-			s.settleUndo(undo)
+			s.settle(undo)
 		}
 		if !ok {
 			continue
@@ -303,20 +289,19 @@ func (s *taskScheduler) waitNodeZero(t *Thread, nd *waitNode) {
 		if !stalled {
 			continue
 		}
-		// Park. Register in nidle first, then re-check the predicate and
-		// re-scan: a publisher that misses our registration must have
-		// published before it, so this final scan sees its work.
+		// Park. Raise the flag and register in nidle first, then re-check
+		// the predicate and re-scan: a publisher that misses our
+		// registration must have published before it, so this final scan
+		// sees its work. Finding work means lowering our own flag — unless
+		// a waker's CAS already won it, in which case its token is on the
+		// way and must be taken.
 		d.publish()
+		d.parked.Store(true)
 		s.nidle.Add(1)
-		if nd.state.Load() == 0 {
-			s.nidle.Add(-1)
-			return
+		idle := nd.state.Load() != 0 && !s.anyPublished(t.id) && d.botLocal <= d.topCache
+		if idle || !d.parked.CompareAndSwap(true, false) {
+			<-d.park
 		}
-		if s.anyPublished(t.id) || d.botLocal > d.topCache {
-			s.nidle.Add(-1)
-			continue
-		}
-		<-s.wake
 		s.nidle.Add(-1)
 	}
 }
@@ -349,7 +334,7 @@ func (s *taskScheduler) drainAll(t *Thread) {
 			for {
 				tk, ok, undo := d.steal()
 				if undo != nil {
-					s.settleUndo(undo)
+					s.settle(undo)
 				}
 				if !ok {
 					break

@@ -1,6 +1,8 @@
 package omp
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,17 +186,31 @@ func TestTaskloopCoversRange(t *testing.T) {
 
 func TestTaskStatsCountsStealsAndSpawns(t *testing.T) {
 	// One producer, three consumers parked on a shared group: the
-	// consumers can only get work through the steal path.
+	// consumers can only get work through the steal path. The producer
+	// holds off its own Wait until a consumer has run one of its tasks;
+	// otherwise its drain may claim all 100 before any consumer reaches
+	// the group.
 	const ntasks = 100
 	var stats TaskStats
+	var consumed atomic.Bool
 	Parallel(func(th *Thread) {
 		root := th.SharedTaskGroup()
 		th.Master(func() {
 			for i := 0; i < ntasks; i++ {
-				root.Task(th, func(*Thread) { time.Sleep(20 * time.Microsecond) })
+				root.Task(th, func(e *Thread) {
+					if e.ThreadNum() != 0 {
+						consumed.Store(true)
+					}
+					time.Sleep(20 * time.Microsecond)
+				})
 			}
 		})
 		th.Barrier()
+		th.Master(func() {
+			for deadline := time.Now().Add(10 * time.Second); !consumed.Load() && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+		})
 		root.Wait(th)
 		th.Barrier() // quiesce before reading the plain counters
 		th.Master(func() { stats = th.TaskStats() })
@@ -211,6 +227,57 @@ func TestTaskStatsCountsStealsAndSpawns(t *testing.T) {
 	if stats.Steals > stats.Executed {
 		t.Fatalf("Steals = %d exceeds Executed = %d", stats.Steals, stats.Executed)
 	}
+}
+
+func TestParkedThreadsNeverLoseAWakeup(t *testing.T) {
+	// The wavefront shape (align.Wavefront): one driver task in a shared
+	// group runs Taskloop "diagonals", so the thread running it waits
+	// re-entrantly while its teammates park on the group and wake for
+	// each diagonal's chunks. A wake token taken by the wrong thread (one
+	// that re-parked quickly, instead of a teammate still on its way to
+	// its receive) leaves the whole team asleep. Regions repeat for a few
+	// seconds; the test goroutine is stuck in a hung region, so the
+	// watchdog panics instead, dumping every goroutine.
+	const (
+		threads   = 4
+		diagonals = 2
+		chunks    = 4
+		runFor    = 3 * time.Second
+		watchdog  = 5 * time.Second
+	)
+	chunk := func() int64 { // a few µs of race-free work
+		x := 0
+		for i := 0; i < 10000; i++ {
+			x += i & 7
+		}
+		return int64(x)
+	}
+	var regions, sum atomic.Int64
+	wd := time.AfterFunc(time.Hour, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("region %d hung for %v; goroutines:\n%s",
+			regions.Load(), watchdog, buf[:runtime.Stack(buf, true)]))
+	})
+	defer wd.Stop()
+	for start := time.Now(); time.Since(start) < runFor; regions.Add(1) {
+		wd.Reset(watchdog)
+		Parallel(func(th *Thread) {
+			root := th.SharedTaskGroup()
+			th.Master(func() {
+				root.Task(th, func(e *Thread) {
+					for d := 0; d < diagonals; d++ {
+						e.Taskloop(0, chunks, 1, func(int) { sum.Add(chunk()) })
+					}
+				})
+			})
+			th.Barrier()
+			root.Wait(th)
+		}, WithNumThreads(threads))
+	}
+	if want := regions.Load() * diagonals * chunks * chunk(); sum.Load() != want {
+		t.Fatalf("chunk sum %d after %d regions, want %d", sum.Load(), regions.Load(), want)
+	}
+	t.Logf("%d regions", regions.Load())
 }
 
 func TestTaskStressProducersThievesNestedGroups(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -135,14 +136,6 @@ type shardedExecutor struct {
 	mu   sync.Mutex
 	down map[string]bool
 
-	// remoteTraces remembers which node retained each forwarded run's
-	// trace (id -> node), FIFO-bounded like the trace store itself, so
-	// GET /trace/{id} on this node can proxy to the retaining peer.
-	traceMu    sync.Mutex
-	traceNodes map[string]string
-	traceOrder []string
-	traceCap   int
-
 	stopOnce sync.Once
 	stopCh   chan struct{}
 }
@@ -162,21 +155,19 @@ func newShardedExecutor(local *LocalExecutor, here Executor, cc ClusterConfig, c
 	}
 	sort.Strings(members)
 	x := &shardedExecutor{
-		self:       cc.Self,
-		addrs:      addrs,
-		local:      local,
-		here:       here,
-		ring:       ring.New(cc.Replicas, members...),
-		client:     &http.Client{},
-		counters:   counters,
-		attempts:   cc.ForwardAttempts,
-		backoff:    cc.ForwardBackoff,
-		hedge:      cc.HedgeDelay,
-		probe:      cc.ProbeInterval,
-		down:       map[string]bool{},
-		traceNodes: map[string]string{},
-		traceCap:   local.cfg.traceCapacity,
-		stopCh:     make(chan struct{}),
+		self:     cc.Self,
+		addrs:    addrs,
+		local:    local,
+		here:     here,
+		ring:     ring.New(cc.Replicas, members...),
+		client:   &http.Client{},
+		counters: counters,
+		attempts: cc.ForwardAttempts,
+		backoff:  cc.ForwardBackoff,
+		hedge:    cc.HedgeDelay,
+		probe:    cc.ProbeInterval,
+		down:     map[string]bool{},
+		stopCh:   make(chan struct{}),
 	}
 	if x.attempts <= 0 {
 		x.attempts = DefaultForwardAttempts
@@ -519,9 +510,6 @@ func (x *shardedExecutor) post(ctx context.Context, node string, req ExecRequest
 	if out.Node == "" {
 		out.Node = node
 	}
-	if out.TraceID != "" && out.Node != x.self {
-		x.rememberTrace(out.TraceID, out.Node)
-	}
 	for _, ph := range rr.Phases {
 		out.Result.Phases = append(out.Result.Phases, trace.Event{
 			Seq: ph.Seq, Task: ph.Task, Phase: ph.Phase, Value: ph.Value,
@@ -552,37 +540,18 @@ func readErrorBody(r io.Reader) string {
 // presence tells the receiving node to execute locally.
 const forwardedHeader = "X-Patternlet-Forwarded"
 
-// rememberTrace records that a forwarded run's trace bytes live on node,
-// FIFO-bounded to the same capacity as the trace store they point into.
-func (x *shardedExecutor) rememberTrace(id, node string) {
-	x.traceMu.Lock()
-	defer x.traceMu.Unlock()
-	if _, known := x.traceNodes[id]; !known {
-		x.traceOrder = append(x.traceOrder, id)
-	}
-	x.traceNodes[id] = node
-	for len(x.traceOrder) > x.traceCap {
-		delete(x.traceNodes, x.traceOrder[0])
-		x.traceOrder = x.traceOrder[1:]
-	}
-}
-
-// traceNode looks up which peer retained the trace with the given id.
-func (x *shardedExecutor) traceNode(id string) (string, bool) {
-	x.traceMu.Lock()
-	defer x.traceMu.Unlock()
-	node, ok := x.traceNodes[id]
-	return node, ok
-}
-
-// proxyTrace serves GET /trace/{id} for a trace retained on the peer
-// that executed the forwarded run, so the trace link in a /run reply
-// works against the node the client actually contacted. It reports
-// whether it wrote a response (true even for a relayed miss or an
-// unreachable peer — the id was ours to answer for).
+// proxyTrace serves GET /trace/{id} for a trace retained on another
+// member: cluster trace ids are node-qualified (<node>-t<seq>), so the
+// trace link in a /run reply works against whichever member the client
+// contacts. It reports whether it wrote a response (true even for a
+// relayed miss or an unreachable peer — the id was ours to answer for).
 func (x *shardedExecutor) proxyTrace(w http.ResponseWriter, id string) bool {
-	node, ok := x.traceNode(id)
-	if !ok || node == x.self {
+	i := strings.LastIndex(id, "-t")
+	if i < 0 {
+		return false
+	}
+	node := id[:i]
+	if _, member := x.addrs[node]; !member || node == x.self {
 		return false
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

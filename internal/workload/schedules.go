@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"strings"
 
@@ -50,117 +49,46 @@ func CompareSchedules(m Model, n, p int) ([]SchedResult, error) {
 		}
 		out = append(out, SchedResult{Schedule: name, Makespan: max, Balance: Balance(per)})
 	}
-	static("static (equal chunks)", func(i int) int {
-		// Invert EqualChunkBounds: find the owner of iteration i.
-		chunk := (n + p - 1) / p
-		owner := i / chunk
-		if owner >= p {
-			owner = p - 1
+	var equal []int // owner of each iteration under schedule(static)
+	for t := 0; t < p; t++ {
+		s, e := omp.EqualChunkBounds(n, p, t)
+		for i := s; i < e; i++ {
+			equal = append(equal, t)
 		}
-		// Verify against the canonical bounds (guards drift between the
-		// two formulations).
-		if s, e := omp.EqualChunkBounds(n, p, owner); i < s || i >= e {
-			for t := 0; t < p; t++ {
-				if s, e := omp.EqualChunkBounds(n, p, t); i >= s && i < e {
-					return t
-				}
-			}
-		}
-		return owner
-	})
+	}
+	static("static (equal chunks)", func(i int) int { return equal[i] })
 	static("static,1 (striped)", func(i int) int { return i % p })
 	static("static,4", func(i int) int { return (i / 4) % p })
 
-	// Dynamic,1 is greedy list scheduling in index order — exactly what
-	// the vtime simulator computes for independent tasks.
-	dyn, err := vtime.Simulate(vtime.IndependentLoop(n, func(i int) int64 { return costs[i] }), p)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, SchedResult{
-		Schedule: "dynamic,1",
-		Makespan: dyn.Makespan,
-		Balance:  balanceFromSchedule(dyn, p),
-	})
-
-	// Guided: earliest-free core takes the next shrinking chunk.
-	out = append(out, guidedResult(costs, p))
-	return out, nil
-}
-
-// balanceFromSchedule computes per-core work out of a vtime schedule.
-func balanceFromSchedule(s vtime.Schedule, p int) float64 {
-	per := make([]int64, p)
-	for _, r := range s.Results {
-		per[r.Core] += r.Finish - r.Start
-	}
-	return Balance(per)
-}
-
-// coreQueue orders virtual cores by their free time.
-type coreQueue []struct {
-	free int64
-	id   int
-}
-
-func (h coreQueue) Len() int { return len(h) }
-func (h coreQueue) Less(i, j int) bool {
-	if h[i].free != h[j].free {
-		return h[i].free < h[j].free
-	}
-	return h[i].id < h[j].id
-}
-func (h coreQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *coreQueue) Push(x any) {
-	*h = append(*h, x.(struct {
-		free int64
-		id   int
-	}))
-}
-func (h *coreQueue) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// guidedResult simulates schedule(guided,1) in virtual time.
-func guidedResult(costs []int64, p int) SchedResult {
-	n := len(costs)
-	cores := &coreQueue{}
-	for c := 0; c < p; c++ {
-		heap.Push(cores, struct {
-			free int64
-			id   int
-		}{0, c})
-	}
-	per := make([]int64, p)
-	var makespan int64
-	next := 0
-	for next < n {
-		remaining := n - next
-		chunk := remaining / p
-		if chunk < 1 {
-			chunk = 1
-		}
+	// Dynamic,1 and guided,1 are greedy list scheduling in index order —
+	// exactly what the vtime simulator computes for independent tasks.
+	// Dynamic hands out single iterations; guided hands out chunks that
+	// shrink as remaining/p.
+	var guided []int64
+	for next := 0; next < n; {
+		chunk := max((n-next)/p, 1)
 		var work int64
-		for i := next; i < next+chunk; i++ {
-			work += costs[i]
+		for _, c := range costs[next : next+chunk] {
+			work += c
 		}
+		guided = append(guided, work)
 		next += chunk
-		core := heap.Pop(cores).(struct {
-			free int64
-			id   int
-		})
-		core.free += work
-		per[core.id] += work
-		if core.free > makespan {
-			makespan = core.free
-		}
-		heap.Push(cores, core)
 	}
-	return SchedResult{Schedule: "guided,1", Makespan: makespan, Balance: Balance(per)}
+	for _, l := range []struct {
+		name  string
+		costs []int64
+	}{{"dynamic,1", costs}, {"guided,1", guided}} {
+		sched, err := vtime.Simulate(vtime.IndependentLoop(len(l.costs), func(i int) int64 { return l.costs[i] }), p)
+		if err != nil {
+			return nil, err
+		}
+		per := make([]int64, p)
+		for _, r := range sched.Results {
+			per[r.Core] += r.Finish - r.Start
+		}
+		out = append(out, SchedResult{Schedule: l.name, Makespan: sched.Makespan, Balance: Balance(per)})
+	}
+	return out, nil
 }
 
 // ScheduleTable renders the full comparison across the standard workload

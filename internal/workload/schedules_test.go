@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,5 +171,21 @@ func TestScheduleTableRenders(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// The cmd/figures schedule table is pinned byte for byte, so a change to
+// any schedule's simulation shows up as a diff of the figure.
+func TestScheduleTableGolden(t *testing.T) {
+	table, err := ScheduleTable(256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "schedule_table_256_4.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table != string(want) {
+		t.Errorf("ScheduleTable(256, 4) drifted from golden.\ngot:\n%s\nwant:\n%s", table, want)
 	}
 }
