@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 )
 
 // Scoring constants — fixed, so a Summary is a pure function of Config.
@@ -171,18 +172,23 @@ type slab struct {
 
 // newSlab allocates a window of cols columns, starting at global column
 // 0, over global rows gLo..gLo+rows-1, whose letters a holds, and builds
-// b's substitution profile. The profile has a row only for the letters
-// of alphabet, so a byte of a outside it is refused here rather than
-// scored wrongly.
+// b's substitution profile. Serial and Wavefront take their full-width
+// slabs fresh from here; the pipeline's rank windows come from getWindow.
 func newSlab(cfg Config, a, b []byte, gLo, rows, cols int) (*slab, error) {
-	s := &slab{
-		vals:    make([]int32, (rows+1)*cols),
-		stride:  cols,
-		rows:    rows,
-		gLo:     gLo,
-		letters: make([]uint8, len(a)),
-		cfg:     cfg.norm(),
-	}
+	return new(slab).init(cfg, a, b, gLo, rows, cols)
+}
+
+// init shapes s as newSlab describes, reusing each of its buffers that is
+// large enough, and sets every field. Cells are not cleared: a recycled
+// window's cells hold the previous run's values until the drivers
+// overwrite them. The profile has a row only for the letters of
+// alphabet, so a byte of a outside it is refused here rather than scored
+// wrongly.
+func (s *slab) init(cfg Config, a, b []byte, gLo, rows, cols int) (*slab, error) {
+	s.vals = resize(s.vals, (rows+1)*cols)
+	s.stride, s.c0, s.rows, s.gLo = cols, 0, rows, gLo
+	s.letters = resize(s.letters, len(a))
+	s.cfg = cfg.norm()
 	for i, c := range a {
 		x := strings.IndexByte(alphabet, c)
 		if x < 0 {
@@ -190,8 +196,9 @@ func newSlab(cfg Config, a, b []byte, gLo, rows, cols int) (*slab, error) {
 		}
 		s.letters[i] = uint8(x)
 	}
-	// Column j mismatches every letter but b[j] itself.
-	buf := make([]int8, len(alphabet)*len(b))
+	// Column j mismatches every letter but b[j] itself. The profile's
+	// rows are consecutive pieces of one buffer, which prof[0] starts.
+	buf := resize(s.prof[0][:cap(s.prof[0])], len(alphabet)*len(b))
 	for i := range buf {
 		buf[i] = MismatchScore
 	}
@@ -204,6 +211,43 @@ func newSlab(cfg Config, a, b []byte, gLo, rows, cols int) (*slab, error) {
 		s.prof[x] = buf[x*len(b) : (x+1)*len(b)]
 	}
 	return s, nil
+}
+
+// resize returns buf resliced to length n, or a new slice if buf's
+// array is too small.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// maxPooledWindow caps, in bytes, the windows putWindow keeps: as in
+// wirecodec, one huge run must not pin its buffers in the pool.
+const maxPooledWindow = 1 << 20
+
+// windowPool recycles pipeline rank windows between runs. A served
+// n=512 np=4 window is just over Go's 32 KiB small-object limit, so a
+// fresh one per rank per run takes the large-object path and was most
+// of a run's bytes (DESIGN §13.2). It holds *slab, so a Put boxes
+// nothing.
+var windowPool sync.Pool
+
+// getWindow is newSlab over a recycled window when the pool has one.
+func getWindow(cfg Config, a, b []byte, gLo, rows, cols int) (*slab, error) {
+	s, _ := windowPool.Get().(*slab)
+	if s == nil {
+		s = new(slab)
+	}
+	return s.init(cfg, a, b, gLo, rows, cols)
+}
+
+// putWindow returns a window to the pool once its last cell has been
+// read, unless its buffers pass maxPooledWindow.
+func putWindow(s *slab) {
+	if 4*cap(s.vals)+cap(s.letters)+cap(s.prof[0]) <= maxPooledWindow {
+		windowPool.Put(s)
+	}
 }
 
 // at and set address global column j, which must lie in the window.

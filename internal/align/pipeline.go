@@ -102,11 +102,16 @@ func pipelineRank(c *mpi.Comm, cfg Config, compute func(s *slab, cLo, cHi int)) 
 	if rows > 0 {
 		// The rank keeps one column chunk of its rows plus the column to
 		// the chunk's left (its first column's west and northwest
-		// neighbours), not the whole row block.
-		s, err := newSlab(cfg, myA[:rows], b, gLo, rows, min(cfg.Block, cfg.M)+1)
+		// neighbours), not the whole row block, in a window from the
+		// pool. The window goes back when pipelineRank returns, after its
+		// last read (the corner, the last hashCols and localMax): Send
+		// has encoded a copy of each streamed row, and the hybrid's inner
+		// wavefront has joined.
+		s, err := getWindow(cfg, myA[:rows], b, gLo, rows, min(cfg.Block, cfg.M)+1)
 		if err != nil {
 			return Summary{}, false, err
 		}
+		defer putWindow(s)
 		// Ghost columns arrive chunk by chunk from the predecessor (or
 		// from the boundary formula on the first rank); column 0 is
 		// never part of a chunk.
