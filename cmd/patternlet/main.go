@@ -328,9 +328,9 @@ The MPI patternlets run on a layered communication stack: typed
 collectives dispatch through a per-collective algorithm registry (a
 default policy picks by world size and payload; force a choice with
 ` + "`mpi.WithCollectiveAlgorithm`" + `), point-to-point messaging carries
-gob-isolated values, and composable middleware (traffic instrumentation,
-latency injection, fault injection) wraps any wire transport — in-process
-channels, loopback TCP, or one OS process per rank.
+gob-isolated values and counts its traffic per communicator, and
+composable middleware (latency injection, fault injection) wraps any wire
+transport — in-process channels, loopback TCP, or one OS process per rank.
 
 **Every MPI patternlet's output is byte-identical regardless of which
 collective algorithm the registry selects.** A broadcast is a broadcast

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 )
 
 // Message is the unit carried by a Transport. Payloads are opaque bytes:
@@ -40,9 +41,9 @@ type Message struct {
 // ErrClosed is returned by transport operations after Close.
 var ErrClosed = errors.New("cluster: transport closed")
 
-// ErrTimeout is returned by MatchRecv when the supplied deadline expires
-// before a matching message arrives. The MPI layer maps it to its
-// deadlock-detection error.
+// ErrTimeout is returned by Transport.Recv and Transport.Probe when their
+// timeout expires before a matching message arrives. The MPI layer maps
+// it to its deadlock-detection error.
 var ErrTimeout = errors.New("cluster: receive timed out")
 
 // Wildcard values for Match fields. Communicator ids and ranks are always
@@ -105,13 +106,12 @@ type Transport interface {
 	// Recv blocks until a message matching mt is available for the given
 	// rank and removes it from the mailbox. Matching is in arrival order:
 	// the earliest buffered match wins, which preserves MPI's
-	// non-overtaking guarantee per (source, tag, comm).
-	Recv(rank int, mt Match) (Message, error)
-	// RecvTimeout is Recv with a deadline in nanoseconds (0 = no deadline).
-	RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error)
-	// Probe blocks like Recv but leaves the message in the mailbox,
+	// non-overtaking guarantee per (source, tag, comm). A positive timeout
+	// bounds the wait and fails it with ErrTimeout; 0 waits forever.
+	Recv(rank int, mt Match, timeout time.Duration) (Message, error)
+	// Probe waits like Recv but leaves the message in the mailbox,
 	// returning a copy (MPI_Probe).
-	Probe(rank int, mt Match) (Message, error)
+	Probe(rank int, mt Match, timeout time.Duration) (Message, error)
 	// Close releases transport resources. All blocked operations return
 	// ErrClosed.
 	Close() error
@@ -138,8 +138,8 @@ func SendCopiesPayload(t Transport) bool {
 }
 
 // WireStatser is the optional interface a transport implements to expose
-// internal wire-level counters (misrouted frames, frames written). The
-// Instrumented middleware folds these into its snapshots so they surface
+// internal wire-level counters (misrouted frames, frames written). The MPI
+// layer folds these into telemetry at the end of a world, so they surface
 // next to the traffic counters instead of vanishing inside the transport.
 type WireStatser interface {
 	WireStats() map[string]int64

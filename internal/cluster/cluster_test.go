@@ -81,7 +81,7 @@ func TestTransportSendRecv(t *testing.T) {
 		if err := tr.Send(2, msg); err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.Recv(2, anyMsg)
+		got, err := tr.Recv(2, anyMsg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestTransportNonOvertaking(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			m, err := tr.Recv(1, anyMsg)
+			m, err := tr.Recv(1, anyMsg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +123,11 @@ func TestTransportSelectiveMatch(t *testing.T) {
 		if err := tr.Send(1, Message{Src: 0, Tag: 2, Payload: []byte("B")}); err != nil {
 			t.Fatal(err)
 		}
-		b, err := tr.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 2})
+		b, err := tr.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 2}, 0)
 		if err != nil || string(b.Payload) != "B" {
 			t.Fatalf("tag-2 recv = (%v, %v)", b, err)
 		}
-		a, err := tr.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 1})
+		a, err := tr.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 1}, 0)
 		if err != nil || string(a.Payload) != "A" {
 			t.Fatalf("tag-1 recv = (%v, %v)", a, err)
 		}
@@ -139,12 +139,12 @@ func TestTransportProbeLeavesMessage(t *testing.T) {
 		if err := tr.Send(3, Message{Src: 1, Tag: 9, Payload: []byte("x")}); err != nil {
 			t.Fatal(err)
 		}
-		p, err := tr.Probe(3, anyMsg)
+		p, err := tr.Probe(3, anyMsg, 0)
 		if err != nil || p.Tag != 9 {
 			t.Fatalf("Probe = (%+v, %v)", p, err)
 		}
 		// The message must still be receivable.
-		m, err := tr.Recv(3, anyMsg)
+		m, err := tr.Recv(3, anyMsg, 0)
 		if err != nil || string(m.Payload) != "x" {
 			t.Fatalf("Recv after Probe = (%+v, %v)", m, err)
 		}
@@ -154,12 +154,16 @@ func TestTransportProbeLeavesMessage(t *testing.T) {
 func TestTransportRecvTimeout(t *testing.T) {
 	transportCases(t, func(t *testing.T, tr Transport) {
 		start := time.Now()
-		_, err := tr.RecvTimeout(0, anyMsg, int64(30*time.Millisecond))
+		_, err := tr.Recv(0, anyMsg, 30*time.Millisecond)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("err = %v, want ErrTimeout", err)
 		}
 		if time.Since(start) < 25*time.Millisecond {
 			t.Fatal("timed out too early")
+		}
+		// Probe takes the same deadline.
+		if _, err := tr.Probe(0, anyMsg, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("Probe err = %v, want ErrTimeout", err)
 		}
 	})
 }
@@ -168,7 +172,7 @@ func TestTransportRecvBlocksUntilSend(t *testing.T) {
 	transportCases(t, func(t *testing.T, tr Transport) {
 		done := make(chan Message, 1)
 		go func() {
-			m, err := tr.Recv(1, anyMsg)
+			m, err := tr.Recv(1, anyMsg, 0)
 			if err == nil {
 				done <- m
 			}
@@ -199,10 +203,10 @@ func TestTransportBadRank(t *testing.T) {
 		if err := tr.Send(99, Message{Src: 0}); !errors.As(err, &re) {
 			t.Fatalf("Send(99) err = %v, want RankError", err)
 		}
-		if _, err := tr.Recv(-1, anyMsg); !errors.As(err, &re) {
+		if _, err := tr.Recv(-1, anyMsg, 0); !errors.As(err, &re) {
 			t.Fatalf("Recv(-1) err = %v, want RankError", err)
 		}
-		if _, err := tr.Probe(4, anyMsg); !errors.As(err, &re) {
+		if _, err := tr.Probe(4, anyMsg, 0); !errors.As(err, &re) {
 			t.Fatalf("Probe(4) err = %v, want RankError", err)
 		}
 	})
@@ -212,7 +216,7 @@ func TestTransportCloseUnblocksReceivers(t *testing.T) {
 	transportCases(t, func(t *testing.T, tr Transport) {
 		errCh := make(chan error, 1)
 		go func() {
-			_, err := tr.Recv(0, anyMsg)
+			_, err := tr.Recv(0, anyMsg, 0)
 			errCh <- err
 		}()
 		time.Sleep(5 * time.Millisecond)
@@ -292,7 +296,7 @@ func TestTransportManyToOneConcurrent(t *testing.T) {
 		wg.Wait()
 		counts := map[byte]int{}
 		for i := 0; i < 4*perSender; i++ {
-			m, err := tr.Recv(0, anyMsg)
+			m, err := tr.Recv(0, anyMsg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +323,7 @@ func TestTCPTransportLargePayload(t *testing.T) {
 	if err := tr.Send(1, Message{Src: 0, Tag: 1, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := tr.Recv(1, anyMsg)
+	m, err := tr.Recv(1, anyMsg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +378,7 @@ func TestTCPSelfSend(t *testing.T) {
 	if err := tr.Send(0, Message{Src: 0, Tag: 4, Payload: []byte("self")}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := tr.Recv(0, anyMsg)
+	m, err := tr.Recv(0, anyMsg, 0)
 	if err != nil || string(m.Payload) != "self" {
 		t.Fatalf("self-send = (%+v, %v)", m, err)
 	}
@@ -401,7 +405,7 @@ func TestMessageFieldsSurviveTCPRoundTrip(t *testing.T) {
 	if err := tr.Send(0, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := tr.Recv(0, anyMsg)
+	out, err := tr.Recv(0, anyMsg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +430,7 @@ func TestTCPTransportCloseLeaksNoGoroutines(t *testing.T) {
 			if err := tr.Send(dst, Message{Src: src, Tag: 1, Payload: []byte{byte(src)}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.Recv(dst, Match{Comm: 0, Src: src, Tag: 1}); err != nil {
+			if _, err := tr.Recv(dst, Match{Comm: 0, Src: src, Tag: 1}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -206,27 +206,19 @@ func (t *ChanTransport) Send(to int, m Message) error {
 }
 
 // Recv implements Transport.
-func (t *ChanTransport) Recv(rank int, mt Match) (Message, error) {
+func (t *ChanTransport) Recv(rank int, mt Match, timeout time.Duration) (Message, error) {
 	if rank < 0 || rank >= len(t.boxes) {
 		return Message{}, errBadRank(rank, len(t.boxes))
 	}
-	return t.boxes[rank].take(mt, true, 0)
-}
-
-// RecvTimeout implements Transport.
-func (t *ChanTransport) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error) {
-	if rank < 0 || rank >= len(t.boxes) {
-		return Message{}, errBadRank(rank, len(t.boxes))
-	}
-	return t.boxes[rank].take(mt, true, time.Duration(timeoutNanos))
+	return t.boxes[rank].take(mt, true, timeout)
 }
 
 // Probe implements Transport.
-func (t *ChanTransport) Probe(rank int, mt Match) (Message, error) {
+func (t *ChanTransport) Probe(rank int, mt Match, timeout time.Duration) (Message, error) {
 	if rank < 0 || rank >= len(t.boxes) {
 		return Message{}, errBadRank(rank, len(t.boxes))
 	}
-	return t.boxes[rank].take(mt, false, 0)
+	return t.boxes[rank].take(mt, false, timeout)
 }
 
 // Close implements Transport.

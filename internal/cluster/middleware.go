@@ -7,11 +7,11 @@ import "time"
 // The message-passing stack treats the wire as a layered pipeline. At the
 // bottom sits a base transport (ChanTransport, TCPTransport or
 // RemoteTransport); above it, any number of decorators can be stacked,
-// each adding one orthogonal concern — synthetic latency, traffic
-// accounting, fault injection — without the base transports or the MPI
-// layer knowing. Every decorator embeds Middleware, which forwards all
-// five Transport methods to the wrapped Inner transport, so a decorator
-// overrides only the operations it cares about.
+// each adding one orthogonal concern — synthetic latency, fault
+// injection — without the base transports or the MPI layer knowing.
+// Every decorator embeds Middleware, which forwards all four Transport
+// methods to the wrapped Inner transport, so a decorator overrides only
+// the operations it cares about.
 
 // Middleware is the embeddable pass-through base for transport
 // decorators. On its own it is a transparent wrapper; decorators embed it
@@ -30,18 +30,13 @@ type Middleware struct {
 func (w Middleware) Send(to int, m Message) error { return w.Inner.Send(to, m) }
 
 // Recv implements Transport by forwarding to Inner.
-func (w Middleware) Recv(rank int, mt Match) (Message, error) {
-	return w.Inner.Recv(rank, mt)
-}
-
-// RecvTimeout implements Transport by forwarding to Inner.
-func (w Middleware) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error) {
-	return w.Inner.RecvTimeout(rank, mt, timeoutNanos)
+func (w Middleware) Recv(rank int, mt Match, timeout time.Duration) (Message, error) {
+	return w.Inner.Recv(rank, mt, timeout)
 }
 
 // Probe implements Transport by forwarding to Inner.
-func (w Middleware) Probe(rank int, mt Match) (Message, error) {
-	return w.Inner.Probe(rank, mt)
+func (w Middleware) Probe(rank int, mt Match, timeout time.Duration) (Message, error) {
+	return w.Inner.Probe(rank, mt, timeout)
 }
 
 // Close implements Transport by forwarding to Inner.

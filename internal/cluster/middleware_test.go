@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // The middleware layer: decorators must compose over any transport and
@@ -18,13 +16,12 @@ func TestMiddlewarePassThrough(t *testing.T) {
 	if err := mw.Send(1, Message{Src: 0, Tag: 7, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := mw.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 7})
+	m, err := mw.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 7}, 0)
 	if err != nil || string(m.Payload) != "x" {
 		t.Fatalf("Recv = (%v, %v)", m, err)
 	}
-	if _, err := mw.RecvTimeout(1, MatchAny(),
-		int64(10*time.Millisecond)); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("RecvTimeout on empty mailbox: %v", err)
+	if _, err := mw.Recv(1, MatchAny(), 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Recv with a timeout on an empty mailbox: %v", err)
 	}
 }
 
@@ -42,108 +39,7 @@ func TestLatencyDecoratorOverTCP(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
 		t.Fatalf("latency not applied over TCP: send took %v", elapsed)
 	}
-	if _, err := tr.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 1}); err != nil {
+	if _, err := tr.Recv(1, Match{Comm: AnyComm, Src: AnySrc, Tag: 1}, 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInstrumentedCountsTraffic(t *testing.T) {
-	tr := NewInstrumented(NewChanTransport(3))
-	defer tr.Close()
-	payload := []byte{1, 2, 3, 4}
-	// Two comms: 3 messages on comm 0 (two to rank 1, one to rank 2), one
-	// on comm 9.
-	for _, m := range []struct {
-		to  int
-		msg Message
-	}{
-		{1, Message{Src: 0, Tag: 1, Comm: 0, Payload: payload}},
-		{1, Message{Src: 0, Tag: 2, Comm: 0, Payload: payload}},
-		{2, Message{Src: 0, Tag: 3, Comm: 0, Payload: payload}},
-		{1, Message{Src: 2, Tag: 4, Comm: 9, Payload: payload[:2]}},
-	} {
-		if err := tr.Send(m.to, m.msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := tr.Recv(1, MatchAny()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	tot := tr.Totals()
-	if tot.Sends != 4 || tot.BytesSent != 14 {
-		t.Errorf("Totals sends/bytes = %d/%d, want 4/14", tot.Sends, tot.BytesSent)
-	}
-	if tot.Recvs != 3 || tot.BytesRecvd != 10 {
-		t.Errorf("Totals recvs/bytes = %d/%d, want 3/10", tot.Recvs, tot.BytesRecvd)
-	}
-	if tot.PeerSends[1] != 3 || tot.PeerSends[2] != 1 {
-		t.Errorf("PeerSends = %v", tot.PeerSends)
-	}
-	// Receives break down by source world rank: rank 1 drained two messages
-	// from src 0 (comm 0) and one from src 2 (comm 9).
-	if tot.PeerRecvs[0] != 2 || tot.PeerRecvs[2] != 1 {
-		t.Errorf("PeerRecvs = %v", tot.PeerRecvs)
-	}
-
-	c0 := tr.CommStats(0)
-	if c0.Sends != 3 || c0.BytesSent != 12 {
-		t.Errorf("comm 0 sends/bytes = %d/%d, want 3/12", c0.Sends, c0.BytesSent)
-	}
-	c9 := tr.CommStats(9)
-	if c9.Sends != 1 || c9.BytesSent != 2 || c9.PeerSends[1] != 1 || c9.PeerRecvs[2] != 1 {
-		t.Errorf("comm 9 stats = %+v", c9)
-	}
-	unseen := tr.CommStats(42)
-	if unseen.Sends != 0 || unseen.PeerSends == nil || unseen.PeerRecvs == nil {
-		t.Errorf("unseen comm must report zeroes with every map initialized, got %+v", unseen)
-	}
-}
-
-// FoldInto surfaces the transport totals in a telemetry collector's
-// counter set under the "cluster."-prefixed names.
-func TestInstrumentedFoldInto(t *testing.T) {
-	tr := NewInstrumented(NewChanTransport(2))
-	defer tr.Close()
-	if err := tr.Send(1, Message{Src: 0, Payload: []byte{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Recv(1, MatchAny()); err != nil {
-		t.Fatal(err)
-	}
-	col := telemetry.New()
-	tr.FoldInto(col)
-	snap := col.Counters().Snapshot()
-	want := map[string]int64{
-		"cluster.sends": 1, "cluster.recvs": 1,
-		"cluster.bytes_sent": 3, "cluster.bytes_recvd": 3,
-	}
-	for name, v := range want {
-		if snap[name] != v {
-			t.Errorf("%s = %d, want %d", name, snap[name], v)
-		}
-	}
-}
-
-// Decorators stack: instrumentation over fault injection counts only the
-// sends the injector let through.
-func TestInstrumentedOverFaultInjector(t *testing.T) {
-	fi := NewFaultInjector(NewChanTransport(2))
-	fi.FailSend(2, nil)
-	tr := NewInstrumented(fi)
-	defer tr.Close()
-	if err := tr.Send(1, Message{Src: 0, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Send(1, Message{Src: 0, Payload: []byte{2}}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("second send: %v", err)
-	}
-	if got := tr.Totals().Sends; got != 1 {
-		t.Fatalf("instrumented counted %d sends, want 1 (failed send excluded)", got)
-	}
-	if fi.SendCount() != 2 {
-		t.Fatalf("injector saw %d sends, want 2", fi.SendCount())
 	}
 }

@@ -150,27 +150,19 @@ func (t *RemoteTransport) checkOwnRank(rank int) error {
 }
 
 // Recv implements Transport for this process's own rank.
-func (t *RemoteTransport) Recv(rank int, mt Match) (Message, error) {
+func (t *RemoteTransport) Recv(rank int, mt Match, timeout time.Duration) (Message, error) {
 	if err := t.checkOwnRank(rank); err != nil {
 		return Message{}, err
 	}
-	return t.box.take(mt, true, 0)
-}
-
-// RecvTimeout implements Transport.
-func (t *RemoteTransport) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error) {
-	if err := t.checkOwnRank(rank); err != nil {
-		return Message{}, err
-	}
-	return t.box.take(mt, true, time.Duration(timeoutNanos))
+	return t.box.take(mt, true, timeout)
 }
 
 // Probe implements Transport.
-func (t *RemoteTransport) Probe(rank int, mt Match) (Message, error) {
+func (t *RemoteTransport) Probe(rank int, mt Match, timeout time.Duration) (Message, error) {
 	if err := t.checkOwnRank(rank); err != nil {
 		return Message{}, err
 	}
-	return t.box.take(mt, false, 0)
+	return t.box.take(mt, false, timeout)
 }
 
 // Close implements Transport.

@@ -43,7 +43,7 @@ func TestRemoteTransportSendRecv(t *testing.T) {
 	if err := trs[0].Send(2, Message{Src: 0, Tag: 5, Payload: []byte("over the wire")}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := trs[2].Recv(2, anyMsg)
+	m, err := trs[2].Recv(2, anyMsg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRemoteTransportSelfSendStaysLocal(t *testing.T) {
 	if err := trs[1].Send(1, Message{Src: 1, Tag: 0, Payload: []byte("self")}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := trs[1].Recv(1, anyMsg)
+	m, err := trs[1].Recv(1, anyMsg, 0)
 	if err != nil || string(m.Payload) != "self" {
 		t.Fatalf("self-send: (%+v, %v)", m, err)
 	}
@@ -65,10 +65,10 @@ func TestRemoteTransportSelfSendStaysLocal(t *testing.T) {
 
 func TestRemoteTransportRejectsForeignRankRecv(t *testing.T) {
 	trs := newRemoteWorld(t, 2)
-	if _, err := trs[0].Recv(1, anyMsg); err == nil {
+	if _, err := trs[0].Recv(1, anyMsg, 0); err == nil {
 		t.Fatal("receiving for a rank this process does not host succeeded")
 	}
-	if _, err := trs[0].Probe(1, anyMsg); err == nil {
+	if _, err := trs[0].Probe(1, anyMsg, 0); err == nil {
 		t.Fatal("probing a foreign rank succeeded")
 	}
 }
@@ -104,7 +104,7 @@ func TestRemoteTransportNonOvertaking(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		m, err := trs[1].Recv(1, anyMsg)
+		m, err := trs[1].Recv(1, anyMsg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestRemoteTransportConcurrentAllToOne(t *testing.T) {
 	wg.Wait()
 	counts := map[int]int{}
 	for i := 0; i < (np-1)*per; i++ {
-		m, err := trs[0].Recv(0, anyMsg)
+		m, err := trs[0].Recv(0, anyMsg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestRemoteTransportCloseUnblocks(t *testing.T) {
 	trs := newRemoteWorld(t, 2)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := trs[0].Recv(0, anyMsg)
+		_, err := trs[0].Recv(0, anyMsg, 0)
 		errCh <- err
 	}()
 	_ = trs[0].Close()

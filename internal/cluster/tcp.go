@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"time"
 )
 
 // TCPTransport carries messages over loopback TCP sockets as compact
@@ -13,8 +14,8 @@ import (
 //
 // It is np loopback RemoteTransport endpoints in one process, one per
 // rank, over one shared address table and one shared set of wire
-// counters: Send dispatches on the sending rank (m.Src), Recv, RecvTimeout
-// and Probe on the receiving rank. Each endpoint owns its listener,
+// counters: Send dispatches on the sending rank (m.Src), Recv and Probe
+// on the receiving rank. Each endpoint owns its listener,
 // mailbox and lazily dialed connections, exactly as it would as the only
 // rank of an OS process.
 type TCPTransport struct {
@@ -71,30 +72,21 @@ func (t *TCPTransport) SendCopiesPayload() bool { return true }
 func (t *TCPTransport) WireStats() map[string]int64 { return t.wire.snapshot() }
 
 // Recv implements Transport.
-func (t *TCPTransport) Recv(rank int, mt Match) (Message, error) {
+func (t *TCPTransport) Recv(rank int, mt Match, timeout time.Duration) (Message, error) {
 	ep, err := t.endpoint(rank)
 	if err != nil {
 		return Message{}, err
 	}
-	return ep.Recv(rank, mt)
-}
-
-// RecvTimeout implements Transport.
-func (t *TCPTransport) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error) {
-	ep, err := t.endpoint(rank)
-	if err != nil {
-		return Message{}, err
-	}
-	return ep.RecvTimeout(rank, mt, timeoutNanos)
+	return ep.Recv(rank, mt, timeout)
 }
 
 // Probe implements Transport.
-func (t *TCPTransport) Probe(rank int, mt Match) (Message, error) {
+func (t *TCPTransport) Probe(rank int, mt Match, timeout time.Duration) (Message, error) {
 	ep, err := t.endpoint(rank)
 	if err != nil {
 		return Message{}, err
 	}
-	return ep.Probe(rank, mt)
+	return ep.Probe(rank, mt, timeout)
 }
 
 // Close implements Transport: closes every endpoint's listener,

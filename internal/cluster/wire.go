@@ -195,7 +195,7 @@ func readFrames(conn net.Conn, ownRank int, wc *wireCounters, deliver func(Messa
 		if dst != ownRank {
 			// A frame for a rank this endpoint does not host: the sender's
 			// routing table and ours disagree. Count it where operators can
-			// see it (WireStats → Instrumented → telemetry) instead of
+			// see it (WireStats → the MPI world's telemetry fold) instead of
 			// dropping it invisibly.
 			wc.misrouted.Inc()
 			wirecodec.Put(m.Payload)

@@ -1,10 +1,8 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/telemetry"
 	"repro/internal/wirecodec"
 )
@@ -36,36 +34,6 @@ func (c *Comm) collBegin(name string) telemetry.Span {
 	}
 	col.Counter("mpi.collectives").Inc()
 	return col.Begin("mpi", name, c.WorldRank())
-}
-
-// sendBytes ships an already-framed payload without re-encoding, used by
-// the rooted collectives to relay a frame unchanged down a tree.
-func sendBytes(c *Comm, payload []byte, dest, tag int) error {
-	m := cluster.Message{
-		Src:     c.WorldRank(),
-		Tag:     tag,
-		Comm:    c.id,
-		Payload: payload,
-	}
-	return c.w.tr.Send(c.ranks[dest], m)
-}
-
-// recvBytes receives a raw frame, honoring the world's receive timeout.
-func recvBytes(c *Comm, src, tag int) ([]byte, error) {
-	var m cluster.Message
-	var err error
-	if c.w.recvTimeout > 0 {
-		m, err = c.w.tr.RecvTimeout(c.WorldRank(), c.matcher(src, tag), int64(c.w.recvTimeout))
-	} else {
-		m, err = c.w.tr.Recv(c.WorldRank(), c.matcher(src, tag))
-	}
-	if err != nil {
-		if errors.Is(err, cluster.ErrTimeout) {
-			return nil, ErrDeadlock
-		}
-		return nil, err
-	}
-	return m.Payload, nil
 }
 
 // Frame headers for the rooted distribution collectives (Bcast, Scatter):
@@ -252,10 +220,11 @@ func Bcast[T any](c *Comm, v T, root int) (T, error) {
 	// Non-root: the root's choice arrives in the frame header. The tag is
 	// unique to this call and each rank receives exactly one frame, so
 	// any-source matching is unambiguous under either schedule.
-	f, err := recvBytes(c, AnySource, tag)
+	m, err := recvBytes(c, AnySource, tag)
 	if err != nil {
 		return zero, err
 	}
+	f := m.Payload
 	if len(f) == 0 {
 		return zero, fmt.Errorf("mpi: Bcast: empty frame")
 	}
@@ -755,10 +724,11 @@ func Scatter[T any](c *Comm, send []T, root int) ([]T, error) {
 		return DeepCopy(chunks[0])
 	}
 
-	f, err := recvBytes(c, AnySource, tag)
+	m, err := recvBytes(c, AnySource, tag)
 	if err != nil {
 		return nil, err
 	}
+	f := m.Payload
 	if len(f) == 0 {
 		return nil, fmt.Errorf("mpi: Scatter: empty frame")
 	}

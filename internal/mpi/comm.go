@@ -73,13 +73,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 			myNewRank = i
 		}
 	}
-	return &Comm{
-		w:         c.w,
-		id:        deriveCommID(c.id, seq, color),
-		rank:      myNewRank,
-		ranks:     ranks,
-		fromWorld: buildFromWorld(c.w.np, ranks),
-	}, nil
+	return newComm(c.w, deriveCommID(c.id, seq, color), myNewRank, ranks), nil
 }
 
 // dupColor is the color sentinel reserved for Dup's id derivation, chosen
@@ -98,11 +92,5 @@ func (c *Comm) Dup() (*Comm, error) {
 	seq := c.collSeq
 	ranks := make([]int, len(c.ranks))
 	copy(ranks, c.ranks)
-	return &Comm{
-		w:         c.w,
-		id:        deriveCommID(c.id, seq, dupColor),
-		rank:      c.rank,
-		ranks:     ranks,
-		fromWorld: buildFromWorld(c.w.np, ranks),
-	}, nil
+	return newComm(c.w, deriveCommID(c.id, seq, dupColor), c.rank, ranks), nil
 }

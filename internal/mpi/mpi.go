@@ -61,18 +61,17 @@ type Status struct {
 	Bytes  int // payload size on the wire
 }
 
-// world is the per-Run shared runtime: transport, node map and receive
-// policy. Under Run all ranks share one world object; under RunWorker
-// (multi-process execution) each OS process holds its own equivalent
-// world, which is safe because nothing in it requires cross-rank shared
-// state.
+// world is the per-Run shared runtime: transport, node map, receive
+// policy and traffic counters. Under Run all ranks share one world object;
+// under RunWorker (multi-process execution) each OS process holds its own
+// equivalent world, which is safe because nothing in it requires
+// cross-rank shared state.
 type world struct {
 	np          int
 	tr          cluster.Transport
 	cl          *cluster.Cluster
 	recvTimeout time.Duration
-	collAlgo    map[string]string     // WithCollectiveAlgorithm overrides (read-only once running)
-	stats       *cluster.Instrumented // the instrumentation decorator wrapping tr
+	collAlgo    map[string]string // WithCollectiveAlgorithm overrides (read-only once running)
 	// copies caches cluster.SendCopiesPayload(tr): true when the transport
 	// serializes payloads on Send, letting senders recycle encode buffers
 	// immediately; false when the payload rides to the receiver, which
@@ -84,8 +83,13 @@ type world struct {
 	// tele is the process-wide telemetry collector, cached once when the
 	// world starts: every collective checks this plain field against nil,
 	// so a disabled run pays no atomic load per operation. A collector
-	// enabled mid-run attaches at the next Run.
-	tele *telemetry.Collector
+	// enabled mid-run attaches at the next Run. codecBase is the codec
+	// counters at that moment, for the world-end fold.
+	tele      *telemetry.Collector
+	codecBase map[string]int64
+
+	mu      sync.Mutex
+	traffic map[int]*trafficBucket // communicator id -> counters (traffic.go)
 }
 
 // Comm is one rank's handle on a communicator, like MPI_Comm plus the
@@ -100,19 +104,21 @@ type Comm struct {
 	// World ranks are small dense ints, so a slice keeps the per-receive
 	// status lookup to an index instead of a map probe.
 	fromWorld []int
-	collSeq   int // per-rank counter of collective operations, for tag agreement
+	collSeq   int            // per-rank counter of collective operations, for tag agreement
+	traffic   *trafficBucket // shared with every rank of this communicator
 }
 
-// buildFromWorld inverts a ranks table over a world of np processes.
-func buildFromWorld(np int, ranks []int) []int {
-	fw := make([]int, np)
+// newComm builds rank's handle on communicator id over the world ranks in
+// ranks (communicator rank -> world rank).
+func newComm(w *world, id, rank int, ranks []int) *Comm {
+	fw := make([]int, w.np)
 	for i := range fw {
 		fw[i] = -1
 	}
 	for cr, wr := range ranks {
 		fw[wr] = cr
 	}
-	return fw
+	return &Comm{w: w, id: id, rank: rank, ranks: ranks, fromWorld: fw, traffic: w.bucket(id)}
 }
 
 // Rank returns the calling process's rank in this communicator
@@ -139,23 +145,15 @@ func (c *Comm) Wtime() float64 { return time.Since(wtimeEpoch).Seconds() }
 
 var wtimeEpoch = time.Now()
 
-// Stats reports the traffic this communicator has put on the wire so far:
-// message and byte counts for sends and receives, plus per-peer send
-// counts keyed by world rank. Counting happens in the cluster package's
-// Instrumented middleware, above the transport, so the numbers are
-// identical whether the world runs over channels or TCP. Counters remain
-// readable after Run returns, which is how tests assert a collective's
-// message complexity (e.g. a binomial broadcast over 8 ranks costs
-// exactly 7 sends).
-func (c *Comm) Stats() cluster.TrafficStats {
-	if c.w.stats == nil {
-		return cluster.TrafficStats{
-			PeerSends: map[int]uint64{},
-			PeerRecvs: map[int]uint64{},
-		}
-	}
-	return c.w.stats.CommStats(c.id)
-}
+// Stats reports the traffic this communicator has put on the wire so far,
+// summed over its ranks: message and byte counts for sends and receives,
+// plus per-peer counts keyed by world rank. Counting happens at the
+// runtime's own send and receive sites, above the transport, so the
+// numbers are identical whether the world runs over channels or TCP.
+// Counters remain readable after Run returns, which is how tests assert a
+// collective's message complexity (e.g. a binomial broadcast over 8 ranks
+// costs exactly 7 sends).
+func (c *Comm) Stats() TrafficStats { return c.traffic.snapshot() }
 
 // nextCollTag reserves the next internal (negative) tag for a collective.
 // Because all ranks of a communicator execute collectives in the same
@@ -216,60 +214,64 @@ func WithTransport(tr cluster.Transport) Option {
 	return func(c *runConfig) { c.transport = tr }
 }
 
-// Run launches np ranked processes, each executing body with its own world
-// communicator, and blocks until all finish (MPI_Init through
-// MPI_Finalize). The returned error joins every rank's error; a panicking
-// rank is reported as an error rather than crashing the caller.
-func Run(np int, body func(c *Comm) error, opts ...Option) error {
+// newWorld resolves opts into the runtime of an np-rank world — the one
+// constructor Run and RunWorker share. A nil tr builds the transport the
+// options ask for (Run); RunWorker passes its caller's. Either way
+// WithLatency wraps it.
+func newWorld(np int, tr cluster.Transport, opts []Option) (*world, error) {
 	if np < 1 {
-		return fmt.Errorf("mpi: np must be >= 1, got %d", np)
+		return nil, fmt.Errorf("mpi: np must be >= 1, got %d", np)
 	}
 	cfg := runConfig{nodes: np}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.nodes < 1 {
-		cfg.nodes = 1
-	}
 	if err := validateCollAlgo(cfg.collAlgo); err != nil {
-		return err
+		return nil, err
 	}
-
-	var tr cluster.Transport
-	if cfg.transport != nil {
+	switch {
+	case tr != nil: // RunWorker's own transport
+	case cfg.transport != nil:
 		tr = cfg.transport
-	} else if cfg.useTCP {
+	case cfg.useTCP:
 		t, err := cluster.NewTCPTransport(np)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tr = t
-	} else {
+	default:
 		tr = cluster.NewChanTransport(np)
 	}
 	if cfg.latency > 0 {
 		tr = cluster.NewLatency(tr, cfg.latency)
 	}
-	// Instrumentation is always the outermost layer, so Comm.Stats sees
-	// identical counts regardless of the transport underneath.
-	inst := cluster.NewInstrumented(tr)
-	defer inst.Close()
-
 	w := &world{
 		np:          np,
-		tr:          inst,
+		tr:          tr,
 		cl:          cluster.New(cfg.nodes),
 		recvTimeout: cfg.recvTimeout,
 		collAlgo:    cfg.collAlgo,
-		stats:       inst,
-		copies:      cluster.SendCopiesPayload(inst),
+		copies:      cluster.SendCopiesPayload(tr),
 		gobOnly:     cfg.gobOnly,
 		tele:        telemetry.Active(),
+		traffic:     map[int]*trafficBucket{},
 	}
-	var codecBase map[string]int64
 	if w.tele != nil {
-		codecBase = codecSnapshot()
+		w.codecBase = codecSnapshot()
 	}
+	return w, nil
+}
+
+// Run launches np ranked processes, each executing body with its own world
+// communicator, and blocks until all finish (MPI_Init through
+// MPI_Finalize). The returned error joins every rank's error; a panicking
+// rank is reported as an error rather than crashing the caller.
+func Run(np int, body func(c *Comm) error, opts ...Option) error {
+	w, err := newWorld(np, nil, opts)
+	if err != nil {
+		return err
+	}
+	defer w.tr.Close()
 
 	errs := make([]error, np)
 	var wg sync.WaitGroup
@@ -289,13 +291,9 @@ func Run(np int, body func(c *Comm) error, opts ...Option) error {
 		}(rank)
 	}
 	wg.Wait()
-	if w.tele != nil {
-		// Surface the world's traffic totals in the process-wide counter
-		// set before the transport closes, plus the codec fast-path vs
-		// gob-fallback activity this world generated.
-		inst.FoldInto(w.tele)
-		foldCodecDelta(w.tele, codecBase)
-	}
+	// Surface the world's traffic in the process-wide counter set before
+	// the transport closes.
+	w.fold()
 	return errors.Join(errs...)
 }
 
@@ -304,5 +302,5 @@ func newWorldComm(w *world, rank int) *Comm {
 	for i := range ranks {
 		ranks[i] = i
 	}
-	return &Comm{w: w, id: 0, rank: rank, ranks: ranks, fromWorld: buildFromWorld(w.np, ranks)}
+	return newComm(w, 0, rank, ranks)
 }

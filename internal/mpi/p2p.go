@@ -36,15 +36,42 @@ func sendRaw[T any](c *Comm, v T, dest, tag int) error {
 	if err != nil {
 		return err
 	}
-	m := cluster.Message{
-		Src:     c.WorldRank(), // transport addressing uses world ranks
-		Tag:     tag,
-		Comm:    c.id,
-		Payload: payload,
-	}
-	err = c.w.tr.Send(c.ranks[dest], m)
+	err = sendBytes(c, payload, dest, tag)
 	if c.w.copies {
 		wirecodec.Put(payload)
+	}
+	return err
+}
+
+// sendBytes hands an encoded payload to the transport and, once the
+// transport accepts it, counts it in c's traffic: the runtime's one send
+// site. The rooted collectives call it directly to relay a frame
+// unchanged down a tree.
+func sendBytes(c *Comm, payload []byte, dest, tag int) error {
+	to := c.ranks[dest] // transport addressing uses world ranks
+	err := c.w.tr.Send(to, cluster.Message{Src: c.WorldRank(), Tag: tag, Comm: c.id, Payload: payload})
+	if err == nil {
+		c.traffic.sent(to, len(payload))
+	}
+	return err
+}
+
+// recvBytes takes the earliest message matching (src, tag) on c, honoring
+// the world's receive timeout, and counts it in c's traffic: the
+// runtime's one receive site.
+func recvBytes(c *Comm, src, tag int) (cluster.Message, error) {
+	m, err := c.w.tr.Recv(c.WorldRank(), c.matcher(src, tag), c.w.recvTimeout)
+	if err != nil {
+		return m, recvErr(err)
+	}
+	c.traffic.recvd(m.Src, len(m.Payload))
+	return m, nil
+}
+
+// recvErr maps a transport timeout to the runtime's deadlock error.
+func recvErr(err error) error {
+	if errors.Is(err, cluster.ErrTimeout) {
+		return ErrDeadlock
 	}
 	return err
 }
@@ -90,17 +117,8 @@ func Recv[T any](c *Comm, src, tag int) (T, Status, error) {
 
 func recvRaw[T any](c *Comm, src, tag int) (T, Status, error) {
 	var zero T
-	var m cluster.Message
-	var err error
-	if c.w.recvTimeout > 0 {
-		m, err = c.w.tr.RecvTimeout(c.WorldRank(), c.matcher(src, tag), int64(c.w.recvTimeout))
-	} else {
-		m, err = c.w.tr.Recv(c.WorldRank(), c.matcher(src, tag))
-	}
+	m, err := recvBytes(c, src, tag)
 	if err != nil {
-		if errors.Is(err, cluster.ErrTimeout) {
-			return zero, Status{}, ErrDeadlock
-		}
 		return zero, Status{}, err
 	}
 	v, err := decode[T](m.Payload)
@@ -116,7 +134,8 @@ func recvRaw[T any](c *Comm, src, tag int) (T, Status, error) {
 
 // Probe blocks until a matching message is available without receiving it
 // (MPI_Probe), returning its Status. A following Recv with the status's
-// source and tag retrieves that message.
+// source and tag retrieves that message. Like a receive, it fails with
+// ErrDeadlock once the world's receive timeout expires.
 func Probe(c *Comm, src, tag int) (Status, error) {
 	if src != AnySource && (src < 0 || src >= len(c.ranks)) {
 		return Status{}, ErrInvalidRank
@@ -124,9 +143,9 @@ func Probe(c *Comm, src, tag int) (Status, error) {
 	if tag != AnyTag && tag < 0 {
 		return Status{}, ErrInvalidTag
 	}
-	m, err := c.w.tr.Probe(c.WorldRank(), c.matcher(src, tag))
+	m, err := c.w.tr.Probe(c.WorldRank(), c.matcher(src, tag), c.w.recvTimeout)
 	if err != nil {
-		return Status{}, err
+		return Status{}, recvErr(err)
 	}
 	return c.statusFor(m), nil
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Comm.Stats: per-communicator traffic accounting through the Instrumented
-// middleware. Counters are read after Run returns — they outlive the
+// Comm.Stats: per-communicator traffic accounting at mpi's send and
+// receive sites. Counters are read after Run returns — they outlive the
 // transport — via a *Comm captured from inside the body.
 
 // captureComm returns the communicator rank 0 saw, for post-Run Stats
@@ -46,8 +46,8 @@ func TestBinomialBcastNp8SendsExactlySeven(t *testing.T) {
 }
 
 // The same program must report identical message counts whether the world
-// runs over in-process channels or loopback TCP: counting happens in the
-// middleware layer above the transport.
+// runs over in-process channels or loopback TCP: counting happens at mpi's
+// send and receive sites, above the transport.
 func TestStatsIdenticalAcrossTransports(t *testing.T) {
 	script := func(c *Comm) error {
 		if err := Barrier(c); err != nil {
@@ -156,8 +156,8 @@ func TestStatsPerCommIsolation(t *testing.T) {
 	}
 }
 
-// Stats compose with the latency middleware and a caller-supplied
-// transport: the instrumentation is always the outermost layer.
+// Stats compose with the latency middleware and the TCP transport:
+// counting happens above every transport layer.
 func TestStatsWithLatencyOverTCP(t *testing.T) {
 	start := time.Now()
 	c := captureComm(t, 2, func(c *Comm) error {

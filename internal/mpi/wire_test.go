@@ -320,32 +320,35 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 // TestSmallSendZeroAllocs pins the headline perf property: a small-message
 // send/receive round over the in-process transport allocates nothing —
 // encode buffers come from the wirecodec freelists, the matcher is a plain
-// value, and the instrumentation path is all resolved atomic counters.
+// value, and the traffic counters are preallocated atomics — on the world
+// communicator and on a split one alike.
 func TestSmallSendZeroAllocs(t *testing.T) {
 	tr := cluster.NewChanTransport(1)
 	defer tr.Close()
-	inst := cluster.NewInstrumented(tr)
-	w := &world{
-		np:     1,
-		tr:     inst,
-		cl:     cluster.New(1),
-		stats:  inst,
-		copies: cluster.SendCopiesPayload(inst),
+	w, err := newWorld(1, tr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := newWorldComm(w, 0)
-	round := func() {
-		if err := sendRaw(c, 42, 0, 5); err != nil {
-			t.Fatal(err)
+	world := newWorldComm(w, 0)
+	sub, err := world.Split(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Comm{world, sub} {
+		round := func() {
+			if err := sendRaw(c, 42, 0, 5); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := recvRaw[int](c, 0, 5); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, _, err := recvRaw[int](c, 0, 5); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 16; i++ {
+			round() // warm the buffer freelists and mailbox queue
 		}
-	}
-	for i := 0; i < 16; i++ {
-		round() // warm the buffer freelists, counter tables and mailbox queue
-	}
-	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-		t.Errorf("small-message send/recv allocates %.1f objects per round, want 0", allocs)
+		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+			t.Errorf("comm %d: small-message send/recv allocates %.1f objects per round, want 0", c.id, allocs)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/telemetry"
 )
 
 // RunWorker executes body as one rank of a multi-process world: this
@@ -14,44 +13,16 @@ import (
 // rendezvous) reaches the other ranks in their own OS processes.
 //
 // Unlike Run, RunWorker executes body once, in the calling goroutine, and
-// does not close the transport — the caller owns its lifecycle.
+// does not close the transport — the caller owns its lifecycle. The
+// world's traffic counters, and so its telemetry fold, cover only this
+// rank's traffic.
 func RunWorker(rank, np int, tr cluster.Transport, body func(c *Comm) error, opts ...Option) error {
-	if np < 1 {
-		return fmt.Errorf("mpi: np must be >= 1, got %d", np)
+	w, err := newWorld(np, tr, opts)
+	if err != nil {
+		return err
 	}
 	if rank < 0 || rank >= np {
 		return fmt.Errorf("mpi: worker rank %d out of range for np %d", rank, np)
-	}
-	cfg := runConfig{nodes: np}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.nodes < 1 {
-		cfg.nodes = 1
-	}
-	if err := validateCollAlgo(cfg.collAlgo); err != nil {
-		return err
-	}
-	if cfg.latency > 0 {
-		tr = cluster.NewLatency(tr, cfg.latency)
-	}
-	// Same layering as Run, so Comm.Stats works per-process; the worker's
-	// counters cover only this rank's traffic. Close stays with the caller.
-	inst := cluster.NewInstrumented(tr)
-	w := &world{
-		np:          np,
-		tr:          inst,
-		cl:          cluster.New(cfg.nodes),
-		recvTimeout: cfg.recvTimeout,
-		collAlgo:    cfg.collAlgo,
-		stats:       inst,
-		copies:      cluster.SendCopiesPayload(inst),
-		gobOnly:     cfg.gobOnly,
-		tele:        telemetry.Active(),
-	}
-	var codecBase map[string]int64
-	if w.tele != nil {
-		codecBase = codecSnapshot()
 	}
 	c := newWorldComm(w, rank)
 	defer func() {
@@ -60,11 +31,7 @@ func RunWorker(rank, np int, tr cluster.Transport, body func(c *Comm) error, opt
 		// quiescing step.
 		time.Sleep(5 * time.Millisecond)
 	}()
-	err := body(c)
-	if w.tele != nil {
-		// This process hosts one rank, so the fold covers only its traffic.
-		inst.FoldInto(w.tele)
-		foldCodecDelta(w.tele, codecBase)
-	}
+	err = body(c)
+	w.fold()
 	return err
 }

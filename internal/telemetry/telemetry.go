@@ -10,8 +10,8 @@
 //
 //   - omp.TaskStats reads its numbers from a telemetry CounterSet the
 //     scheduler folds its per-deque counters into;
-//   - mpi.Comm.Stats / cluster.TrafficStats snapshot the CounterSet
-//     backing the cluster package's Instrumented middleware;
+//   - mpi's traffic counters (Comm.Stats) are plain atomics that the
+//     world folds into cluster.* counters when it ends;
 //   - trace.Recorder is an ordering view over a telemetry event Stream.
 //
 // Overhead contract: instrumentation is disabled by default and the hot
