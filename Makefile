@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress-omp fuzz serve serve-smoke cluster-smoke load-smoke bench bench-json figures study lab examples catalog clean
+.PHONY: all build vet test race stress-omp stress-store fuzz serve serve-smoke cluster-smoke load-smoke bench bench-json figures study lab examples catalog clean
 
 all: build vet test
 
@@ -33,6 +33,14 @@ race:
 # the test with every goroutine's stack.
 stress-omp:
 	$(GO) test -run '^TestParkedThreadsNeverLoseAWakeup$$' -count=20 ./internal/omp
+
+# Repeat the run store's concurrency and crash tests twenty times under
+# the race detector: puts, gets and compactions racing the writer
+# goroutine, reads from the pending batch, the pending bound, log copies
+# taken mid-write, failed batch writes and torn tails.
+STORE_STRESS = TestConcurrentStress|TestPutReadsBackWhileWriterHeld|TestPutWaitsPastPendingLimit|TestLogCopiesReopenToPrefix|TestWriteFailureDropsBatch|TestCompactionFailureKeepsPending|TestReopenTruncatesTornTail
+stress-store:
+	$(GO) test -race -run '^($(STORE_STRESS))$$' -count=20 ./internal/store
 
 # Run each fuzz target for 10s past its seed corpus (plain `go test`
 # only replays the seeds): the mpi wire codec, run-store replay, the

@@ -83,7 +83,7 @@ func (t *RemoteTransport) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go readFrames(conn, t.rank, t.wire, func(m Message) { _ = t.box.put(m) })
+		go readFrames(conn, t.rank, t.np, t.wire, func(m Message) { _ = t.box.put(m) })
 	}
 }
 

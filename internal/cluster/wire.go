@@ -182,9 +182,10 @@ func (w *wireConn) send(dst int, m Message) error {
 func (w *wireConn) close() error { return w.c.Close() }
 
 // readFrames drains conn, delivering each frame addressed to ownRank into
-// deliver and counting frames addressed elsewhere as misrouted. It
-// returns when the connection errors or closes.
-func readFrames(conn net.Conn, ownRank int, wc *wireCounters, deliver func(Message)) {
+// deliver and counting as misrouted the frames addressed elsewhere and
+// those whose source is outside [0, np). It returns when the connection
+// errors or closes.
+func readFrames(conn net.Conn, ownRank, np int, wc *wireCounters, deliver func(Message)) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		dst, m, err := readFrame(r)
@@ -192,11 +193,12 @@ func readFrames(conn net.Conn, ownRank int, wc *wireCounters, deliver func(Messa
 			_ = conn.Close()
 			return
 		}
-		if dst != ownRank {
-			// A frame for a rank this endpoint does not host: the sender's
-			// routing table and ours disagree. Count it where operators can
-			// see it (WireStats → the MPI world's telemetry fold) instead of
-			// dropping it invisibly.
+		if dst != ownRank || m.Src < 0 || m.Src >= np {
+			// A frame for a rank this endpoint does not host, or from a
+			// rank the world does not have: the sender's routing table and
+			// ours disagree, or the peer is corrupt. Count it where
+			// operators can see it (WireStats → the MPI world's telemetry
+			// fold) instead of dropping it invisibly.
 			wc.misrouted.Inc()
 			wirecodec.Put(m.Payload)
 			continue

@@ -1,9 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // Communicator management: MPI_Comm_split and MPI_Comm_dup. Both are
@@ -57,11 +58,8 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 			group = append(group, e)
 		}
 	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].Key != group[j].Key {
-			return group[i].Key < group[j].Key
-		}
-		return group[i].Rank < group[j].Rank
+	slices.SortFunc(group, func(a, b splitEntry) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Rank, b.Rank))
 	})
 
 	ranks := make([]int, len(group))

@@ -55,9 +55,9 @@ func (b *trafficBucket) sent(to, n int) {
 	b.peerSends[to].Add(1)
 }
 
-// recvd counts a delivered message from world rank from. A frame's source
-// arrives off the wire unchecked, so an out-of-range one counts in the
-// totals only.
+// recvd counts a delivered message from world rank from. The remote
+// transport drops frames whose source is outside the world; should a
+// transport deliver one, it counts in the totals only.
 func (b *trafficBucket) recvd(from, n int) {
 	b.recvs.Add(1)
 	b.bytesRecvd.Add(uint64(n))

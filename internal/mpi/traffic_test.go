@@ -153,10 +153,9 @@ func rawFrame(b []byte, dst, src, tag, comm int, payload []byte) []byte {
 	return append(append(b, meta...), payload...)
 }
 
-// A RemoteTransport delivers a frame's source rank unchecked. Sources
-// outside the world count in the totals and never index the per-peer
-// arrays; a frame addressed to another rank surfaces in telemetry as
-// cluster.misrouted_frames.
+// A RemoteTransport counts and drops frames from sources outside the
+// world, as it does frames addressed to another rank: both surface in
+// telemetry as cluster.misrouted_frames and neither reaches a receive.
 func TestRemoteFramesWithBadRanksAreCounted(t *testing.T) {
 	const np = 2
 	ln, err := cluster.ListenLoopback()
@@ -174,16 +173,22 @@ func TestRemoteFramesWithBadRanksAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	payload, err := encode(7)
+	bad, err := encode(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The read loop handles frames in order, so once both valid frames
-	// arrive the misrouted one before them has been counted.
-	wire := rawFrame(nil, 7, 0, 5, 0, payload)
-	for _, src := range []int{-1, np + 3} {
-		wire = rawFrame(wire, 0, src, 5, 0, payload)
+	good, err := encode(8)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// The read loop handles frames in order, so once the valid frame
+	// from rank 1 arrives the three bad frames before it have been
+	// counted and dropped.
+	wire := rawFrame(nil, 7, 0, 5, 0, bad)
+	for _, src := range []int{-1, np + 3} {
+		wire = rawFrame(wire, 0, src, 5, 0, bad)
+	}
+	wire = rawFrame(wire, 0, 1, 5, 0, good)
 	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +198,12 @@ func TestRemoteFramesWithBadRanksAreCounted(t *testing.T) {
 	defer telemetry.Disable()
 	var st TrafficStats
 	err = RunWorker(0, np, tr, func(c *Comm) error {
-		for i := 0; i < 2; i++ {
-			v, status, err := Recv[int](c, AnySource, 5)
-			if err != nil {
-				return err
-			}
-			if v != 7 || status.Source != -1 {
-				t.Errorf("got %d from comm rank %d, want 7 from -1", v, status.Source)
-			}
+		v, status, err := Recv[int](c, AnySource, 5)
+		if err != nil {
+			return err
+		}
+		if v != 8 || status.Source != 1 {
+			t.Errorf("got %d from comm rank %d, want 8 from 1", v, status.Source)
 		}
 		st = c.Stats()
 		return nil
@@ -208,12 +211,15 @@ func TestRemoteFramesWithBadRanksAreCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Recvs != 2 || st.BytesRecvd != uint64(2*len(payload)) || len(st.PeerRecvs) != 0 {
-		t.Errorf("stats = %+v, want 2 receives in the totals and no per-peer entry", st)
+	if m, err := tr.Recv(0, cluster.MatchAny(), 10*time.Millisecond); !errors.Is(err, cluster.ErrTimeout) {
+		t.Errorf("a bad frame was delivered: %+v, %v", m, err)
+	}
+	if st.Recvs != 1 || st.BytesRecvd != uint64(len(good)) || st.PeerRecvs[1] != 1 {
+		t.Errorf("stats = %+v, want one receive from rank 1", st)
 	}
 	snap := col.Counters().Snapshot()
-	if snap["cluster.recvs"] != 2 || snap["cluster.misrouted_frames"] != 1 {
-		t.Errorf("cluster.recvs = %d, cluster.misrouted_frames = %d, want 2 and 1",
+	if snap["cluster.recvs"] != 1 || snap["cluster.misrouted_frames"] != 3 {
+		t.Errorf("cluster.recvs = %d, cluster.misrouted_frames = %d, want 1 and 3",
 			snap["cluster.recvs"], snap["cluster.misrouted_frames"])
 	}
 }

@@ -371,10 +371,22 @@ func TestCacheHitBypassesSaturation(t *testing.T) {
 	decodeRun(t, post(t, ts, `{"key":"det.omp"}`))
 	base := execs.Load()
 
-	// Saturate: the gated run holds the only worker, queue depth 0.
+	// Saturate: the gated run holds the only worker, queue depth 0. The
+	// priming run's answer can reach the client before its worker is
+	// back at the queue, so a gated run bounced with 503 is sent again.
 	done := make(chan *http.Response, 1)
-	go func() { done <- post(t, ts, `{"key":"gated.omp"}`) }()
-	<-g.startCh
+	for started := false; !started; {
+		go func() { done <- post(t, ts, `{"key":"gated.omp"}`) }()
+		select {
+		case <-g.startCh:
+			started = true
+		case resp := <-done:
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("gated run answered %d before it started", resp.StatusCode)
+			}
+		}
+	}
 
 	// A miss bounces with the drain-rate-derived Retry-After hint...
 	resp := post(t, ts, `{"key":"racy.omp"}`)

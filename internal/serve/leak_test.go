@@ -43,10 +43,12 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 		}
 		waitGoroutines(t, base)
 	})
+	// The store's writer goroutine starts in Open and is joined by Close,
+	// both inside the window.
 	t.Run("store", func(t *testing.T) {
 		reg, _, _ := cacheRegistry(t)
-		st := openStore(t, t.TempDir())
 		base := runtime.NumGoroutine()
+		st := openStore(t, t.TempDir())
 		s := New(reg, WithStore(st))
 		for i := 0; i < 2; i++ { // a miss, then a hit
 			if _, err := s.Execute(ctx, "det.omp", core.RunOptions{}); err != nil {
@@ -54,6 +56,9 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 			}
 		}
 		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		waitGoroutines(t, base)

@@ -20,14 +20,24 @@
 // therefore crash-safe without any write-ahead machinery: the log IS
 // the write-ahead structure.
 //
+// Writes are write-behind: a put frames its record into a pending
+// buffer and indexes it at once, and the store's one writer goroutine
+// writes everything pending with one write(2) and runs compactions, so
+// no caller waits on the file. Records not yet written read back from
+// memory. Appends never fsync; a process crash loses the records still
+// pending, and a cut inside the batch being written reopens as a torn
+// tail.
+//
 // Capacity is bounded by WithMaxBytes: admission of a new record first
-// evicts least-recently-used live records until it fits, and the log is
-// compacted (live records rewritten, dead bytes dropped) once dead bytes
-// exceed the budget, so disk usage stays under 2× the configured cap at
-// all times.
+// evicts least-recently-used live records until it fits, and the writer
+// compacts the log (live records rewritten, dead bytes dropped) once
+// dead bytes exceed the budget, so once it has caught up the log stays
+// under 2× the configured cap. Pending bytes are bounded too: past
+// pendingLimit a put waits for the writer.
 package store
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -35,9 +45,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,6 +70,7 @@ const (
 	ctrTruncated = "store.reopen.truncated" // torn tails truncated at Open
 	ctrBadRecord = "store.reopen.badrecord" // checksum-bad records skipped at Open
 	ctrOversize  = "store.oversize"         // records larger than the whole budget, not stored
+	ctrWriteErr  = "store.write_errors"     // batch writes and compactions that failed
 )
 
 // logName is the single log file inside the store directory.
@@ -68,6 +79,18 @@ const logName = "runs.log"
 // maxRecordLen bounds one record; a length header above it is treated
 // as corruption, not as an instruction to allocate gigabytes.
 const maxRecordLen = 64 << 20
+
+// pendingLimit bounds the bytes framed but not yet handed to the
+// writer: a put that finds this many waits for the writer to take them,
+// so a stalled disk holds back requests instead of growing memory.
+const pendingLimit = 1 << 20
+
+// spareCap is the largest written batch buffer kept for the next batch;
+// a burst's larger buffer goes back to the garbage collector.
+const spareCap = 64 << 10
+
+// errClosed answers puts on a closed store.
+var errClosed = errors.New("store: closed")
 
 // ErrOversize reports a record that can never fit the configured
 // capacity; the caller simply serves the run uncached.
@@ -175,18 +198,39 @@ type RunRecord struct {
 }
 
 // Store is the content-addressed run store. All methods are safe for
-// concurrent use; one mutex serializes index and log access (records
-// are small and reads are single ReadAt calls, so the lock is never
-// held across anything slow).
+// concurrent use. One mutex guards the index and the write-behind
+// buffers; under it a caller only encodes, frames and indexes in memory,
+// or reads and decodes one record. Every write(2) of a record, every
+// truncation after a failed write and every compaction runs on the
+// writer goroutine with the mutex released: the writer takes it only to
+// take a batch, to snapshot the live records for a compaction and to
+// swap the compacted log in.
 type Store struct {
 	dir      string
 	maxBytes int64
 	counters telemetry.CounterSet
 
-	mu      sync.Mutex
-	f       *os.File
-	size    int64 // current append offset (file size)
-	live    int64 // bytes belonging to live records
+	mu sync.Mutex
+	// work wakes the writer (bytes pending, a compaction due, Close);
+	// idle wakes callers waiting on it (a full pending buffer, flush).
+	work, idle sync.Cond
+	f          *os.File
+	disk       int64 // bytes of the log written: where the next batch goes
+	size       int64 // logical log size: disk + len(inflight) + len(pending)
+	live       int64 // bytes belonging to live records
+	// inflight is the batch the writer is writing at offset disk with mu
+	// released; pending holds the records framed since, which follow it.
+	inflight, pending []byte
+	spare             []byte // a written batch's buffer, reused for pending
+	busy              bool   // the writer is writing a batch or compacting
+	compactFailed     bool   // the last compaction failed; retried after the next batch
+	putErr            error  // a write failure no put has returned yet
+	writeErr          error  // the first write failure, returned by Close
+	done              chan struct{}
+	// writeAt writes one batch at off; the package's tests replace it to
+	// hold the writer or fail a write. Read under mu.
+	writeAt func(f *os.File, b []byte, off int64) error
+
 	results map[Digest]*entry
 	byID    map[string]*entry
 	traces  map[string]*entry
@@ -201,7 +245,8 @@ type Store struct {
 // Open loads (or creates) the store in dir, replaying the log: torn
 // tails are truncated, checksum-bad records skipped and counted, and
 // the in-memory index and run-id sequence rebuilt from the surviving
-// records. Log order becomes the initial recency order.
+// records. Log order becomes the initial recency order. Open starts
+// the store's writer goroutine; Close joins it.
 func Open(dir string, opts ...Option) (*Store, error) {
 	cfg := config{maxBytes: DefaultMaxBytes}
 	for _, o := range opts {
@@ -221,7 +266,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		results:  map[Digest]*entry{},
 		byID:     map[string]*entry{},
 		traces:   map[string]*entry{},
+		done:     make(chan struct{}),
+		writeAt:  writeAt,
 	}
+	s.work.L, s.idle.L = &s.mu, &s.mu
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	if err := s.replay(); err != nil {
 		f.Close()
@@ -230,7 +278,14 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	// A budget smaller than the surviving records (maxBytes lowered
 	// between runs) is enforced immediately.
 	s.evictUntil(s.maxBytes)
+	go s.writer()
 	return s, nil
+}
+
+// writeAt writes b at off in f.
+func writeAt(f *os.File, b []byte, off int64) error {
+	_, err := f.WriteAt(b, off)
+	return err
 }
 
 // replay scans the log, indexing every intact record. Called only from
@@ -280,10 +335,7 @@ func (s *Store) replay() error {
 			return fmt.Errorf("store: truncate torn tail: %w", err)
 		}
 	}
-	s.size = off
-	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	s.size, s.disk = off, off
 	return nil
 }
 
@@ -412,8 +464,8 @@ func (s *Store) GetResult(d Digest) (core.Result, string, bool) {
 func (s *Store) PutResult(d Digest, key string, res core.Result) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return "", errors.New("store: closed")
+	if err := s.admit(); err != nil {
+		return "", err
 	}
 	if e, ok := s.results[d]; ok {
 		s.touch(e)
@@ -440,8 +492,8 @@ func (s *Store) PutResult(d Digest, key string, res core.Result) (string, error)
 func (s *Store) PutTrace(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("store: closed")
+	if err := s.admit(); err != nil {
+		return err
 	}
 	rec := &diskRecord{
 		Kind:   kindTrace,
@@ -530,8 +582,24 @@ func (s *Store) Runs(key string) []RunRecord {
 	return out
 }
 
-// append frames, checksums, and writes one record, evicting and
-// compacting as the byte budget requires. Caller holds mu.
+// admit waits until the pending buffer has room and reports why a put
+// cannot go ahead: the store is closed, or a write failed since the
+// last put (each failure is returned once). Caller holds mu.
+func (s *Store) admit() error {
+	for len(s.pending) >= pendingLimit && !s.closed {
+		s.idle.Wait()
+	}
+	if s.closed {
+		return errClosed
+	}
+	err := s.putErr
+	s.putErr = nil
+	return err
+}
+
+// append frames and checksums one record into the pending buffer and
+// indexes it, evicting as the byte budget requires; the writer writes
+// it. Caller holds mu.
 func (s *Store) append(rec *diskRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -543,19 +611,12 @@ func (s *Store) append(rec *diskRecord) error {
 		return ErrOversize
 	}
 	s.evictUntil(s.maxBytes - size)
-	buf := make([]byte, size)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	off := s.size
+	s.pending = binary.BigEndian.AppendUint32(s.pending, uint32(len(payload)))
+	s.pending = binary.BigEndian.AppendUint32(s.pending, crc32.Checksum(payload, crcTable))
+	s.pending = append(s.pending, payload...)
+	s.index(rec, s.size, size)
 	s.size += size
-	s.index(rec, off, size)
-	if s.size-s.live > s.maxBytes {
-		return s.compact()
-	}
+	s.work.Signal()
 	return nil
 }
 
@@ -568,64 +629,205 @@ func (s *Store) evictUntil(target int64) {
 	}
 }
 
-// compact rewrites the live records into a fresh log, in recency order
-// so a reopen restores the LRU order, and atomically swaps it in,
-// dropping dead bytes. A crash mid-compaction leaves the original log
-// untouched (the rename is the commit point), and entry offsets move to
-// the new log only once it is in place.
-func (s *Store) compact() error {
+// writer is the log's only writer. Once dead bytes pass the budget it
+// compacts, which also writes what is pending; otherwise it writes
+// whatever is pending as one batch. After Close it writes what is still
+// pending and exits.
+func (s *Store) writer() {
+	defer close(s.done)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		switch {
+		case s.compactDue() && !s.closed:
+			s.compact()
+		case len(s.pending) > 0:
+			s.writeBatch()
+		case s.closed:
+			return
+		default:
+			s.work.Wait()
+			continue
+		}
+		s.idle.Broadcast()
+	}
+}
+
+// compactDue reports whether dead bytes exceed the budget. Caller holds
+// mu.
+func (s *Store) compactDue() bool {
+	return !s.compactFailed && s.size-s.live > s.maxBytes
+}
+
+// writeBatch writes the pending records at the end of the log with mu
+// released. A failed write truncates the log back to where the batch
+// began and drops the batch's records from the index, so no entry
+// points at bytes the file does not hold. Caller (the writer) holds mu.
+func (s *Store) writeBatch() {
+	batch, off, f, write := s.pending, s.disk, s.f, s.writeAt
+	s.inflight, s.pending, s.spare = batch, s.spare, nil
+	s.busy = true
+	s.mu.Unlock()
+	err := write(f, batch, off)
+	if err != nil {
+		if terr := f.Truncate(off); terr != nil {
+			err = errors.Join(err, terr)
+		}
+	}
+	s.mu.Lock()
+	s.busy = false
+	s.inflight = nil
+	if err != nil {
+		s.dropBatch(off, int64(len(batch)))
+		s.fail(fmt.Errorf("store: append: %w", err))
+	} else {
+		s.disk += int64(len(batch))
+		s.compactFailed = false
+	}
+	if cap(batch) <= spareCap {
+		s.spare = batch[:0]
+	}
+}
+
+// dropBatch forgets the n bytes of a failed batch written at off: its
+// records leave the index, and records framed after it move down by n.
+// Caller holds mu.
+func (s *Store) dropBatch(off, n int64) {
+	for e := s.lru.next; e != &s.lru; {
+		next := e.next
+		switch {
+		case e.off >= off+n:
+			e.off -= n
+		case e.off >= off:
+			s.drop(e)
+		}
+		e = next
+	}
+	s.size -= n
+}
+
+// fail counts a failed write or compaction and keeps err for the next
+// put and, if it is the first, for Close. Caller holds mu.
+func (s *Store) fail(err error) {
+	s.counters.Counter(ctrWriteErr).Inc()
+	s.putErr = err
+	if s.writeErr == nil {
+		s.writeErr = err
+	}
+}
+
+// span is one live record's bytes in the log a compaction copies.
+type span struct {
+	e         *entry
+	off, size int64
+}
+
+// compact rewrites every live record, from the log or from the
+// pending batch, into a fresh log in recency order, so a reopen restores
+// the LRU order, and swaps it in, dropping dead bytes. It takes the
+// pending batch as its in-flight batch, so those records are written
+// once, into the new log. mu is held only to snapshot the records and to
+// swap: the copy, the fsync and the rename run without it while puts go
+// on framing into a new pending buffer, whose records then move by the
+// change in size. A crash mid-compaction leaves the original log
+// untouched (the rename is the commit point). Caller (the writer) holds
+// mu.
+func (s *Store) compact() {
+	var spans []span
+	for e := s.lru.next; e != &s.lru; e = e.next {
+		spans = append(spans, span{e, e.off, e.size})
+	}
+	old, disk, end, batch := s.f, s.disk, s.size, s.pending
+	s.inflight, s.pending, s.spare = batch, s.spare, nil
+	s.busy = true
+	s.mu.Unlock()
+	f, n, err := s.rewrite(old, disk, batch, spans)
+	s.mu.Lock()
+	s.busy = false
+	s.inflight = nil
+	if err != nil {
+		// The batch is still to be written, ahead of what was framed
+		// since; offsets have not moved.
+		s.pending = append(batch, s.pending...)
+		s.compactFailed = true
+		s.fail(err)
+		return
+	}
+	delta := n - end
+	for e := s.lru.next; e != &s.lru; e = e.next {
+		if e.off >= end { // framed during the copy
+			e.off += delta
+		}
+	}
+	var off int64
+	for _, sp := range spans {
+		if sp.e.next != nil { // still live
+			sp.e.off = off
+		}
+		off += sp.size
+	}
+	s.f, s.disk, s.size = f, n, s.size+delta
+	old.Close() // only read since the copy; its records live on in f
+	if cap(batch) <= spareCap {
+		s.spare = batch[:0]
+	}
+	s.counters.Counter(ctrCompact).Inc()
+}
+
+// rewrite copies spans, in order, into a new file — from old below
+// offset disk, from batch (which starts at disk) above it — syncs it and
+// renames it over the log. It returns the new log, open for writing,
+// and its size. It runs without mu: only the writer writes old, and
+// batch is in flight.
+func (s *Store) rewrite(old *os.File, disk int64, batch []byte, spans []span) (*os.File, int64, error) {
 	tmpPath := filepath.Join(s.dir, logName+".compact")
 	tmp, err := os.Create(tmpPath)
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+		return nil, 0, fmt.Errorf("store: compact: %w", err)
 	}
-	var off int64
-	for e := s.lru.next; e != &s.lru; e = e.next {
-		buf := make([]byte, e.size)
-		if _, err := s.f.ReadAt(buf, e.off); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("store: compact read: %w", err)
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("store: compact write: %w", err)
-		}
-		off += e.size
-	}
-	if err := tmp.Sync(); err != nil {
+	fail := func(step string, err error) (*os.File, int64, error) {
 		tmp.Close()
 		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact sync: %w", err)
+		return nil, 0, fmt.Errorf("store: compact %s: %w", step, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact close: %w", err)
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	var buf []byte
+	var n int64
+	for _, sp := range spans {
+		var rec []byte
+		if rel := sp.off - disk; rel >= 0 {
+			rec = batch[rel : rel+sp.size]
+		} else {
+			buf = slices.Grow(buf[:0], int(sp.size))[:sp.size]
+			if _, err := old.ReadAt(buf, sp.off); err != nil {
+				return fail("read", err)
+			}
+			rec = buf
+		}
+		if _, err := w.Write(rec); err != nil {
+			return fail("write", err)
+		}
+		n += sp.size
+	}
+	if err := w.Flush(); err != nil {
+		return fail("write", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail("sync", err)
 	}
 	if err := os.Rename(tmpPath, filepath.Join(s.dir, logName)); err != nil {
-		return fmt.Errorf("store: compact rename: %w", err)
+		return fail("rename", err)
 	}
-	old := s.f
-	f, err := os.OpenFile(filepath.Join(s.dir, logName), os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact reopen: %w", err)
+	return tmp, n, nil
+}
+
+// flush waits until the writer has written every pending record and
+// run any compaction due. Caller holds mu.
+func (s *Store) flush() {
+	s.work.Signal() // a read that dropped an unreadable entry made dead bytes unannounced
+	for !s.closed && (s.busy || len(s.pending) > 0 || s.compactDue()) {
+		s.idle.Wait()
 	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact seek: %w", err)
-	}
-	old.Close()
-	s.f = f
-	s.size = off
-	s.live = off
-	off = 0
-	for e := s.lru.next; e != &s.lru; e = e.next {
-		e.off = off
-		off += e.size
-	}
-	s.counters.Counter(ctrCompact).Inc()
-	return nil
 }
 
 // Len reports how many run results are currently live.
@@ -635,11 +837,13 @@ func (s *Store) Len() int {
 	return len(s.results)
 }
 
-// DiskSize reports the log's current byte size (live + not-yet-compacted
-// dead bytes).
+// DiskSize reports the log's byte size (live + not-yet-compacted dead
+// bytes) once the writer has caught up: it waits for every pending
+// record to reach the file and for any compaction due.
 func (s *Store) DiskSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.flush()
 	return s.size
 }
 
@@ -648,22 +852,39 @@ func (s *Store) Counters() map[string]int64 {
 	return s.counters.Snapshot()
 }
 
-// Close releases the log file; further calls answer misses and errors.
+// Close waits for the writer to write every pending record, then
+// releases the log file; further calls answer misses and errors. It
+// returns the first write failure the store saw, if any.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	return s.f.Close()
+	s.work.Signal()
+	s.idle.Broadcast()
+	s.mu.Unlock()
+	<-s.done
+	return errors.Join(s.writeErr, s.f.Close())
 }
 
-// readRecord reads and decodes one record's payload. Caller holds mu.
+// readRecord reads and decodes one record's payload: from the log, or
+// from the in-flight or pending batch while the writer has not written
+// it yet. Caller holds mu.
 func (s *Store) readRecord(e *entry) (*diskRecord, error) {
-	buf := make([]byte, e.size)
-	if _, err := s.f.ReadAt(buf, e.off); err != nil {
-		return nil, err
+	var buf []byte
+	switch rel := e.off - s.disk; {
+	case rel < 0:
+		buf = make([]byte, e.size)
+		if _, err := s.f.ReadAt(buf, e.off); err != nil {
+			return nil, err
+		}
+	case rel < int64(len(s.inflight)):
+		buf = s.inflight[rel : rel+e.size]
+	default:
+		rel -= int64(len(s.inflight))
+		buf = s.pending[rel : rel+e.size]
 	}
 	payload := buf[8:]
 	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(buf[4:8]) {

@@ -215,13 +215,15 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Put until a put compacts. Compaction writes in recency order,
-		// so that put's record ends the rewritten log.
+		// so that put's record ends the rewritten log. Draining after
+		// each put keeps later puts out of the compaction's way.
 		var last string
 		for i := 0; s.Counters()[ctrCompact] == 0; i++ {
 			last = fmt.Sprintf("cmp-%02d", i)
 			if _, err := s.PutResult(dg(last), last, res(last)); err != nil {
 				t.Fatal(err)
 			}
+			drain(s)
 		}
 		var earlier []string
 		for _, r := range s.Runs("") {
@@ -504,6 +506,7 @@ func TestEvictionAtCapacityBoundary(t *testing.T) {
 		if _, err := s.PutResult(dg("cmp-06"), "cmp-06", res("cmp-06")); err != nil {
 			t.Fatal(err)
 		}
+		drain(s)
 		if c := s.Counters()[ctrCompact]; c != 1 {
 			t.Fatalf("%s = %d, want 1", ctrCompact, c)
 		}
@@ -727,17 +730,21 @@ func TestShrunkBudgetEvictsOnOpen(t *testing.T) {
 	}
 }
 
+// Puts, gets and traces from eight goroutines race the writer's batch
+// writes and compactions under a small budget; afterwards every live
+// record reads back, before and after Close and reopen.
 func TestConcurrentStress(t *testing.T) {
 	rec := recordSize(t, "st-00-00")
 	// Small budget so eviction and compaction churn under the race
 	// detector while readers are in flight.
-	s, err := Open(t.TempDir(), WithMaxBytes(8*rec))
+	dir := t.TempDir()
+	s, err := Open(dir, WithMaxBytes(8*rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	const workers, iters = 8, 60
+	const workers, iters = 8, 300
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -767,14 +774,44 @@ func TestConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	drain(s)
+	if c := s.Counters()[ctrCompact]; c == 0 {
+		t.Fatal("the storm never compacted")
+	}
 	// Integrity after the storm: whatever is live must read back clean.
+	live := map[string]string{}
 	for _, r := range s.Runs("") {
 		full, ok := s.RunByID(r.ID)
-		if !ok {
-			continue // raced with an eviction
+		if !ok || full.Result.Output != res(full.Key).Output {
+			t.Fatalf("live record %s read back as (%q, %t)", r.ID, full.Result.Output, ok)
 		}
-		if full.Result.Output == "" {
-			t.Fatalf("live record %s read back empty", r.ID)
+		live[r.ID] = full.Key
+	}
+	var traces []string
+	for id := range s.traces {
+		traces = append(traces, id)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen under the default budget, so dead records replayed from the
+	// log cannot push a live one out.
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for id, key := range live {
+		if r, ok := s2.RunByID(id); !ok || r.Result.Output != res(key).Output {
+			t.Fatalf("live record %s lost across reopen: (%q, %t)", id, r.Result.Output, ok)
+		}
+		if _, gotID, ok := s2.GetResult(dg(key)); !ok || gotID != id {
+			t.Fatalf("digest of %s reopened as (%q, %t)", id, gotID, ok)
+		}
+	}
+	for _, id := range traces {
+		if _, ok := s2.GetTrace(id); !ok {
+			t.Fatalf("live trace %s lost across reopen", id)
 		}
 	}
 }
